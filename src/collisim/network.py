@@ -13,13 +13,13 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (
+    IDENTITY_2,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Z,
     ATOL_UNITARY,
     NumericalError,
-    embed_single,
     expm_hermitian,
 )
 
@@ -103,8 +103,20 @@ class NetworkSpec:
             raise ValueError(
                 f"target qubit {self.target} outside network of {self.topology.n}"
             )
-        if self.omega0 < 0 or self.omega < 0:
-            raise ValueError("coupling strengths must be non-negative")
+        if not (0 <= self.omega0 < np.inf and 0 <= self.omega < np.inf):
+            raise ValueError("coupling strengths must be finite and non-negative")
+
+
+def _embed_pair(op_i, i, op_j, j, n_total):
+    """op_i in slot i times op_j in slot j, as one kron chain.
+
+    Equals embed_single(op_i, i, n) @ embed_single(op_j, j, n) for i != j
+    without the register-sized product.
+    """
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(n_total):
+        out = np.kron(out, op_i if k == i else op_j if k == j else IDENTITY_2)
+    return out
 
 
 def pair_term(kind, i, j, n_total):
@@ -118,12 +130,12 @@ def pair_term(kind, i, j, n_total):
     if not (0 <= i < n_total and 0 <= j < n_total):
         raise ValueError(f"pair ({i}, {j}) outside register of {n_total} qubits")
     if kind is CouplingKind.XX:
-        return embed_single(SIGMA_X, i, n_total) @ embed_single(SIGMA_X, j, n_total)
+        return _embed_pair(SIGMA_X, i, SIGMA_X, j, n_total)
     if kind is CouplingKind.ZZ:
-        return embed_single(SIGMA_Z, i, n_total) @ embed_single(SIGMA_Z, j, n_total)
+        return _embed_pair(SIGMA_Z, i, SIGMA_Z, j, n_total)
     if kind is CouplingKind.EXCHANGE:
-        up = embed_single(SIGMA_PLUS, i, n_total) @ embed_single(SIGMA_MINUS, j, n_total)
-        down = embed_single(SIGMA_MINUS, i, n_total) @ embed_single(SIGMA_PLUS, j, n_total)
+        up = _embed_pair(SIGMA_PLUS, i, SIGMA_MINUS, j, n_total)
+        down = _embed_pair(SIGMA_MINUS, i, SIGMA_PLUS, j, n_total)
         return 0.5 * (up + down)
     raise ValueError(f"unknown coupling kind {kind!r}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -74,6 +75,12 @@ _REQUIRED_FIELDS = [
 ]
 
 
+_NUMBER_KEYS = ("omega", "omega0", "dt", "peak_min_height")
+# Peak finding compares each recorded state with its neighbours, so a run
+# needs at least three records: the initial state and two steps.
+_MIN_STEPS = 2
+
+
 def config_from_dict(doc):
     """Build an ExperimentConfig from a parsed key-value document."""
     if not isinstance(doc, dict):
@@ -85,16 +92,43 @@ def config_from_dict(doc):
     if missing:
         raise ValueError(f"missing config keys: {', '.join(missing)}")
     cfg = ExperimentConfig(**doc)
-    for key in ("omega", "omega0", "dt", "peak_min_height"):
-        try:
-            setattr(cfg, key, float(getattr(cfg, key)))
-        except (TypeError, ValueError):
-            raise ValueError(f"config key {key} must be a number") from None
-    try:
-        cfg.steps = int(cfg.steps)
-    except (TypeError, ValueError):
-        raise ValueError("config key steps must be an integer") from None
+    for key in _NUMBER_KEYS:
+        setattr(cfg, key, _parse_number(getattr(cfg, key), key))
+    cfg.steps = _parse_steps(cfg.steps)
     return cfg
+
+
+def _parse_number(value, key):
+    """A finite float; numeric strings are accepted, booleans are not."""
+    message = f"config key {key} must be a finite number, got {value!r}"
+    if isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    if not math.isfinite(number):
+        raise ValueError(message)
+    return number
+
+
+def _parse_steps(value):
+    """An integer of at least _MIN_STEPS; integral numeric strings are accepted."""
+    message = f"config key steps must be an integer, got {value!r}"
+    if isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        steps = int(value)
+        integral = steps == float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    if not integral:
+        raise ValueError(message)
+    if steps < _MIN_STEPS:
+        raise ValueError(
+            f"config key steps must be at least {_MIN_STEPS} for peak finding, got {steps}"
+        )
+    return steps
 
 
 def config_to_dict(cfg):
@@ -220,14 +254,15 @@ def _parse_pairs(value, n):
 
 def build_protocol(cfg):
     """Resolve a declarative config into (ProtocolConfig, pairs, min_height)."""
+    numbers = {key: _parse_number(getattr(cfg, key), key) for key in _NUMBER_KEYS}
     topology = _parse_topology(cfg.topology)
     n = topology.n
     spec = NetworkSpec(
         topology=topology,
         system_coupling=_parse_coupling(cfg.system_coupling, "system_coupling"),
-        omega0=cfg.omega0,
+        omega0=numbers["omega0"],
         ancilla_coupling=_parse_coupling(cfg.ancilla_coupling, "ancilla_coupling"),
-        omega=cfg.omega,
+        omega=numbers["omega"],
         target=_parse_target(cfg.target, n),
     )
     mode_key = str(cfg.mode).lower()
@@ -237,12 +272,12 @@ def build_protocol(cfg):
     protocol = ProtocolConfig(
         spec=spec,
         mode=_MODES[mode_key],
-        dt=cfg.dt,
-        steps=cfg.steps,
+        dt=numbers["dt"],
+        steps=_parse_steps(cfg.steps),
         ancilla_init=_parse_ket(cfg.ancilla_init, "ancilla_init"),
         network_init=_parse_bitstring(network_init, n, "network_init"),
     )
-    return protocol, _parse_pairs(cfg.tracked_pairs, n), float(cfg.peak_min_height)
+    return protocol, _parse_pairs(cfg.tracked_pairs, n), numbers["peak_min_height"]
 
 
 # Reference simulations. All share omega0 = 1 and a network starting in

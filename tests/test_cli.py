@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import pytest
 import yaml
@@ -41,6 +42,29 @@ class TestExitCodes:
         path = write_config(tmp_path, mode="markovian")
         assert main(["run", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("steps", 1, "must be at least 2"),
+            ("steps", True, "must be an integer"),
+            ("omega", float("nan"), "must be a finite number"),
+            ("omega0", float("inf"), "must be a finite number"),
+            ("dt", float("inf"), "must be a finite number"),
+            ("peak_min_height", float("nan"), "must be a finite number"),
+        ],
+        ids=["steps-1", "steps-true", "omega-nan", "omega0-inf", "dt-inf", "peak_min_height-nan"],
+    )
+    def test_bad_values_fail_at_load(self, tmp_path, capsys, key, value, message):
+        # Each fails at load, before any step runs, and the message names the key.
+        message = f"config key {key} {message}"
+        path = write_config(tmp_path, **{key: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_invalid_yaml_syntax(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

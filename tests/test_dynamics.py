@@ -1,9 +1,14 @@
 """Step map and protocol loop behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisim.dynamics import (
+    Propagator,
     ProtocolConfig,
     ProtocolMode,
     collision_step,
@@ -11,6 +16,7 @@ from collisim.dynamics import (
 )
 from collisim.linalg import (
     IDENTITY_2,
+    PSD_SLACK,
     NumericalError,
     density_from_pure,
     expm_hermitian,
@@ -22,6 +28,8 @@ from collisim.network import (
     build_system_hamiltonian,
     preset_topology,
 )
+from collisim.runner import PRESETS, ExperimentConfig, build_protocol, preset
+from reference import reference_step, reference_trajectory
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 KET_ZERO = np.array([1.0, 0.0])
@@ -222,8 +230,9 @@ class TestValidation:
             make_config(steps=2.5)
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            make_config(dt=0.0)
+        for dt in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                make_config(dt=dt)
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
@@ -236,3 +245,136 @@ class TestValidation:
     def test_rejects_unnormalized_ancilla(self):
         with pytest.raises(ValueError):
             run_protocol(make_config(ancilla_init=np.array([1.0, 1.0])))
+
+
+def exchange_chain(n, mode, steps):
+    """An open exchange chain with an exchange-coupled ancilla |1> on A."""
+    adjacency = [[1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    cfg = ExperimentConfig(
+        topology=adjacency, system_coupling="Exchange", ancilla_coupling="Exchange",
+        omega=5.0, target="A", mode=mode, dt=0.4, steps=steps, ancilla_init="1",
+    )
+    return build_protocol(cfg)[0]
+
+
+DIFFERENTIAL_CASES = list(PRESETS) + [f"chain{n}" for n in range(3, 7)]
+
+
+def differential_protocol(case, mode):
+    """A preset, or an exchange chain named chain<n>, run for 200 steps."""
+    if case.startswith("chain"):
+        return exchange_chain(int(case[len("chain"):]), mode, 200)
+    return build_protocol(dataclasses.replace(preset(case), mode=mode, steps=200))[0]
+
+
+class TestAgainstReferenceStep:
+    """The Kraus kernel against the joint-register step it replaced."""
+
+    @pytest.mark.parametrize("mode", ["collision", "repeated"])
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+    def test_trajectories_agree(self, case, mode):
+        protocol = differential_protocol(case, mode)
+        traj = run_protocol(protocol)
+        first = traj.records[0]
+        want = reference_trajectory(protocol, first.network_state, first.ancilla_state)
+        assert len(want) == len(traj.records) == 201
+        for rec, (net, anc) in zip(traj.records, want):
+            assert np.max(np.abs(rec.network_state - net)) <= 1e-12
+            assert np.max(np.abs(rec.ancilla_state - anc)) <= 1e-12
+
+
+def random_unitary(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_ancilla(rng, minor):
+    """(1 - minor) |v><v| + minor |v_perp><v_perp| in a random basis."""
+    basis = random_unitary(rng, 2)
+    return (basis * np.array([1.0 - minor, minor])) @ basis.conj().T
+
+
+def kraus_operators(prop, anc):
+    stack, adjoint = prop.kraus(anc)
+    d = prop.dim
+    return stack.reshape(-1, d, d), adjoint.reshape(-1, d, d)
+
+
+# The smaller ancilla weight: zero for a pure ancilla, else from 1e-12 up
+# to 1/2, so weights just above the roundoff floor are exercised too.
+MINOR_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-12.0, max_value=np.log10(0.5)).map(lambda e: 10.0**e),
+)
+
+
+class TestKrausChannel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_net=st.integers(1, 3), minor=MINOR_WEIGHTS)
+    def test_completeness(self, seed, n_net, minor):
+        rng = np.random.default_rng(seed)
+        prop = Propagator(random_unitary(rng, 2 ** (n_net + 1)))
+        anc = random_ancilla(rng, minor)
+        ops, adjoints = kraus_operators(prop, anc)
+        assert len(ops) == (2 if minor == 0.0 else 4)
+        total = sum(k.conj().T @ k for k in ops)
+        assert np.max(np.abs(total - np.eye(prop.dim))) <= 1e-12
+        assert np.array_equal(adjoints, ops.conj().transpose(0, 2, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_net=st.integers(1, 3), minor=MINOR_WEIGHTS)
+    def test_outputs_are_states_and_match_reference(self, seed, n_net, minor):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, 2 ** (n_net + 1))
+        anc = random_ancilla(rng, minor)
+        net = random_density(rng, 2**n_net)
+        got = collision_step(net, anc, u)
+        want = reference_step(net, anc, u)
+        for rho, ref in zip(got, want):
+            assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(rho)[0] >= -PSD_SLACK
+            assert np.max(np.abs(rho - ref)) <= 1e-12
+
+    def test_pure_ancilla_uses_two_operators(self):
+        prop = Propagator(build_propagator(make_spec(), 0.4))
+        for ket in (KET_ZERO, KET_ONE, KET_PLUS):
+            ops, _ = kraus_operators(prop, density_from_pure(ket))
+            assert len(ops) == 2
+
+    def test_unchanged_ancilla_is_factorized_once(self):
+        prop = Propagator(build_propagator(make_spec(), 0.4))
+        anc = density_from_pure(KET_PLUS)
+        first = prop.kraus(anc)
+        assert prop.kraus(anc.copy()) is first
+        assert prop.kraus(IDENTITY_2 / 2.0) is not first
+
+    def test_run_trusts_the_built_propagator(self, monkeypatch):
+        # build_propagator has verified unitarity; the loop must not re-check
+        # it, neither per run nor per step.
+        def fail(u):
+            raise AssertionError("propagator re-checked")
+
+        monkeypatch.setattr(Propagator, "checked", staticmethod(fail))
+        traj = run_protocol(make_config(steps=5))
+        assert len(traj.records) == 6
+
+    def test_rejects_non_finite_ancilla(self):
+        net = density_from_pure(basis_ket(3))
+        anc = density_from_pure(KET_PLUS)
+        anc[0, 1] = np.inf
+        with pytest.raises(NumericalError):
+            collision_step(net, anc, np.eye(16, dtype=complex))
+
+    def test_rejects_multi_qubit_ancilla(self):
+        net = density_from_pure(basis_ket(2))
+        anc = np.eye(4, dtype=complex) / 4.0
+        with pytest.raises(ValueError):
+            collision_step(net, anc, np.eye(16, dtype=complex))

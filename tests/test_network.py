@@ -284,3 +284,8 @@ class TestNetworkSpecValidation:
     def test_negative_strength(self):
         with pytest.raises(ValueError):
             chain_spec(omega=-1.0)
+
+    def test_non_finite_strength(self):
+        for bad in (dict(omega=float("nan")), dict(omega0=float("inf"))):
+            with pytest.raises(ValueError):
+                chain_spec(**bad)

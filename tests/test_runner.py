@@ -93,6 +93,33 @@ class TestConfigParsing:
         with pytest.raises(OSError):
             load_config(tmp_path / "absent.yaml")
 
+    def test_rejects_single_step(self):
+        # One step leaves two records, too few for peak finding.
+        doc = config_to_dict(small_config(steps=1))
+        with pytest.raises(ValueError, match="steps must be at least 2"):
+            config_from_dict(doc)
+        assert config_from_dict(config_to_dict(small_config(steps=2))).steps == 2
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, "2.5", None, [6]])
+    def test_rejects_non_integer_steps(self, value):
+        doc = config_to_dict(small_config())
+        doc["steps"] = value
+        with pytest.raises(ValueError, match="config key steps must be an integer"):
+            config_from_dict(doc)
+
+    def test_integral_float_steps_are_accepted(self):
+        doc = config_to_dict(small_config())
+        doc["steps"] = 6.0
+        assert config_from_dict(doc).steps == 6
+
+    @pytest.mark.parametrize("key", ["omega", "omega0", "dt", "peak_min_height"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "nan", True])
+    def test_rejects_non_finite_numbers(self, key, value):
+        doc = config_to_dict(small_config())
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"config key {key} must be a finite number"):
+            config_from_dict(doc)
+
 
 class TestBuildProtocol:
     def test_resolves_fields(self):
@@ -160,6 +187,13 @@ class TestBuildProtocol:
             build_protocol(small_config(network_init="01"))
         with pytest.raises(ValueError, match="network_init"):
             build_protocol(small_config(network_init="012"))
+
+    def test_checks_configs_that_skip_loading(self):
+        # Configs built in code, as sweep builds its points, get the same checks.
+        for key, value in (("steps", 1), ("steps", True), ("omega", float("nan")),
+                           ("dt", float("inf"))):
+            with pytest.raises(ValueError, match=f"config key {key}"):
+                build_protocol(small_config(**{key: value}))
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError, match="target"):
@@ -244,6 +278,15 @@ class TestSweep:
         assert rows[0].error is None
         assert isinstance(rows[1].error, ValueError)
         assert rows[1].top == {}
+
+    def test_negative_and_non_finite_points_are_value_error_rows(self):
+        base = preset("fig2_cm")
+        rows = sweep(base, "omega", [-12.0, float("nan"), 12.0])
+        assert isinstance(rows[0].error, ValueError)
+        assert "non-negative" in str(rows[0].error)
+        assert isinstance(rows[1].error, ValueError)
+        assert "config key omega" in str(rows[1].error)
+        assert rows[2].error is None and rows[2].top
 
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="sweep parameter"):
