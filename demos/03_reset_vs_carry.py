@@ -36,7 +36,7 @@ def report(tag, runs):
     for mode, result in runs.items():
         best = np.unravel_index(result.table.argmax(), result.table.shape)
         lab = pair_label(result.pairs[best[1]])
-        anc = result.trajectory.records[-1].ancilla_state
+        anc = result.trajectory.ancilla[-1]
         print(
             f"  {mode:10s} max C_{lab} = {result.table[best]:.4f} at n={best[0]}, "
             f"final ancilla purity {purity(anc):.4f}"

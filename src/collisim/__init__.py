@@ -22,7 +22,6 @@ from .linalg import (
     check_density_matrix,
     check_pure_state,
     density_from_pure,
-    eigvals_general,
     embed_single,
     expm_hermitian,
     herm_eig,
@@ -47,7 +46,6 @@ from .dynamics import (
     MAX_STEP_CORRECTION,
     ProtocolConfig,
     ProtocolMode,
-    StepRecord,
     Trajectory,
     collision_step,
     run_protocol,
@@ -64,7 +62,6 @@ from .metrics import (
     pair_concurrences,
     purity,
     reduced_pair,
-    spin_flip,
 )
 from .runner import (
     DUAL_MODE_PRESETS,

@@ -23,6 +23,11 @@ are built once per run, while RepeatedInteraction carries the post-step
 ancilla marginal forward. U's unitarity is verified once per propagator:
 by build_propagator for a run, or by Propagator.checked when a raw matrix
 is handed to collision_step.
+
+run_protocol stores a run as one Trajectory: a (steps + 1, d, d) array of
+network states and a (steps + 1, 2, 2) array of ancilla states, allocated
+before the first step and filled in place. Their size is bounded by
+MAX_RUN_BYTES, which ProtocolConfig checks before anything is allocated.
 """
 
 from __future__ import annotations
@@ -56,6 +61,26 @@ MAX_STEP_CORRECTION = 1e-8
 _WEIGHT_FLOOR = 1e-14
 
 
+# Largest dense storage one run may commit: the trajectory's network states
+# plus the register propagator, at 16 B per complex entry.
+MAX_RUN_BYTES = 2 * 2**30
+
+
+def check_run_size(num_qubits, steps):
+    """Reject a run whose dense storage would exceed MAX_RUN_BYTES.
+
+    Needs (steps + 1) 4**n entries for the network trajectory and 4**(n+1)
+    for the propagator; nothing is allocated to find that out.
+    """
+    need = ((steps + 1) * 4**num_qubits + 4 ** (num_qubits + 1)) * 16
+    if need > MAX_RUN_BYTES:
+        raise ValueError(
+            f"steps={steps} on {num_qubits} network qubits needs "
+            f"{need / 2**30:.3g} GiB of dense storage, above the "
+            f"{MAX_RUN_BYTES / 2**30:g} GiB limit; use fewer steps or qubits"
+        )
+
+
 class ProtocolMode(Enum):
     COLLISION = "collision"
     REPEATED_INTERACTION = "repeated"
@@ -67,7 +92,8 @@ class ProtocolConfig:
 
     Initial states may be kets (1-d arrays) or density matrices; kets
     are promoted internally. The ancilla is a single qubit, the network
-    has spec.topology.n qubits.
+    has spec.topology.n qubits. A run whose storage exceeds MAX_RUN_BYTES
+    is rejected here, before anything is allocated.
     """
 
     spec: NetworkSpec
@@ -80,30 +106,34 @@ class ProtocolConfig:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps}")
+        if (
+            isinstance(self.steps, (bool, np.bool_))
+            or int(self.steps) != self.steps
+            or self.steps < 1
+        ):
+            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         self.steps = int(self.steps)
         if not isinstance(self.mode, ProtocolMode):
             raise ValueError(f"mode must be a ProtocolMode, got {self.mode!r}")
-
-
-@dataclass(eq=False)
-class StepRecord:
-    """State after the n-th collision; n = 0 holds the initial state."""
-
-    n: int
-    time: float
-    network_state: np.ndarray
-    ancilla_state: np.ndarray
+        check_run_size(self.spec.topology.n, self.steps)
 
 
 @dataclass(eq=False)
 class Trajectory:
+    """The network and ancilla marginals after every collision.
+
+    network has shape (steps + 1, d, d) and ancilla (steps + 1, 2, 2);
+    index n holds the states after the n-th collision, at time n * dt,
+    and index 0 the initial states.
+    """
+
     config: ProtocolConfig
-    records: list
+    network: np.ndarray
+    ancilla: np.ndarray
 
     def network_states(self):
-        return [r.network_state for r in self.records]
+        """The network states: the `network` array itself, not a copy."""
+        return self.network
 
 
 def _as_density(state, expected_qubits, what):
@@ -113,7 +143,7 @@ def _as_density(state, expected_qubits, what):
         rho = density_from_pure(state)
     else:
         n = check_density_matrix(state, what)
-        rho = state.copy()
+        rho = state
     if n != expected_qubits:
         raise ValueError(f"{what} has {n} qubits, expected {expected_qubits}")
     return rho
@@ -229,17 +259,19 @@ def run_protocol(config):
     """Iterate collision_step for config.steps steps.
 
     The propagator is built, and its unitarity verified, once per run.
-    Record n stores the marginals after the n-th collision; record 0
-    stores the initial states.
+    The trajectory arrays are allocated up front and each step's output
+    is written into its slot; slot 0 holds copies of the initial states.
     """
     n_net = config.spec.topology.n
     anc0 = _as_density(config.ancilla_init, 1, "ancilla state")
-    net = _as_density(config.network_init, n_net, "network state")
+    net0 = _as_density(config.network_init, n_net, "network state")
     u = Propagator(build_propagator(config.spec, config.dt))
-    records = [StepRecord(0, 0.0, net, anc0)]
+    network = np.empty((config.steps + 1,) + net0.shape, dtype=complex)
+    ancilla = np.empty((config.steps + 1, 2, 2), dtype=complex)
+    network[0], ancilla[0] = net0, anc0
     anc_in = anc0
     for n in range(1, config.steps + 1):
-        net, anc_out = collision_step(net, anc_in, u)
-        records.append(StepRecord(n, n * config.dt, net, anc_out))
-        anc_in = anc0 if config.mode is ProtocolMode.COLLISION else anc_out
-    return Trajectory(config, records)
+        network[n], ancilla[n] = collision_step(network[n - 1], anc_in, u)
+        if config.mode is not ProtocolMode.COLLISION:
+            anc_in = ancilla[n]
+    return Trajectory(config, network, ancilla)

@@ -94,36 +94,43 @@ def expm_hermitian(h, scale):
     return (v * np.exp(scale * w)) @ v.conj().T
 
 
-def eigvals_general(m):
-    """All eigenvalues of a general (possibly non-Hermitian) matrix."""
-    m = _as_square(m)
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+def _bit_offsets(qubits, n):
+    """Register-index offset of every joint value of `qubits`, first qubit most significant."""
+    offsets = np.zeros(1, dtype=np.intp)
+    for q in qubits:
+        offsets = (offsets[:, None] + np.array([0, 1 << (n - 1 - q)])).ravel()
+    return offsets
 
 
 def partial_trace(rho, discard, num_qubits=None):
     """Trace out the qubits listed in `discard`.
 
-    rho is a 2**n x 2**n matrix; the result acts on the remaining qubits
-    in their original order. Discarding every qubit returns the 1x1
-    matrix holding trace(rho).
+    rho is a 2**n x 2**n matrix, or a stack of them with shape
+    (..., 2**n, 2**n) as numpy.linalg takes. The result acts on the
+    remaining qubits in their original order. Discarding every qubit
+    returns the 1x1 matrix holding trace(rho).
+
+    Entry (a, b) of the result sums rho[row(a, t), row(b, t)] over every
+    value t of the discarded qubits, so the whole stack is reduced by one
+    gather of those entries, with no loop over its states.
     """
-    rho = _as_square(rho, "state")
-    n = num_qubits_of(rho.shape[0], "state") if num_qubits is None else num_qubits
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"state must be square, got shape {rho.shape}")
+    dim = rho.shape[-1]
+    n = num_qubits_of(dim, "state")
+    if num_qubits is not None and num_qubits != n:
+        raise ValueError(f"state of dimension {dim} does not hold {num_qubits} qubits")
     discard = set(discard)
     if not all(isinstance(q, (int, np.integer)) and 0 <= q < n for q in discard):
         raise ValueError(f"discard indices {sorted(discard)} invalid for {n} qubits")
     keep = [q for q in range(n) if q not in discard]
-    if not keep:
-        return np.array([[np.trace(rho)]], dtype=complex)
-    shaped = rho.reshape([2] * (2 * n))
-    row_axes = list(range(n))
-    col_axes = [n + q if q in keep else q for q in range(n)]
-    out_axes = keep + [n + q for q in keep]
-    d = 2 ** len(keep)
-    return np.einsum(shaped, row_axes + col_axes, out_axes).reshape(d, d)
+    rows = _bit_offsets(sorted(discard), n)[:, None] + _bit_offsets(keep, n)
+    flat = rows[:, :, None] * dim + rows[:, None, :]
+    terms = rho.reshape(rho.shape[:-2] + (dim * dim,))[..., flat]
+    # Add the terms in a fixed order: numpy's own sum picks its order by
+    # memory layout, so a state would round differently alone and in a stack.
+    return sum(terms[..., t, :, :] for t in range(len(rows)))
 
 
 def check_pure_state(vec, what="state vector"):

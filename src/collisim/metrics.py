@@ -3,7 +3,9 @@
 Concurrence follows the spin-flip construction: with
 rhotilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y), the measure
 is max(0, mu1 - mu2 - mu3 - mu4) where the mu_i are the decreasingly
-sorted square roots of the eigenvalues of rho rhotilde.
+sorted square roots of the eigenvalues of rho rhotilde. Reductions and
+concurrence take stacks of states, (..., d, d), so a whole trajectory is
+analyzed without a per-step loop.
 """
 
 from __future__ import annotations
@@ -28,16 +30,27 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y).real
 FIDELITY_TIE = 1e-9
 
 
-def spin_flip(rho):
-    """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y) for a two-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"spin flip is defined for 4x4 states, got {rho.shape}")
-    return _YY @ rho.conj() @ _YY
+def _first_flagged(flags, values):
+    """(location text, value) for the first flagged state of a stack.
+
+    The text is empty for a single state and names the stack index
+    otherwise, so a failing state in a trajectory can be found.
+    """
+    if flags.ndim == 0:
+        return "", float(values)
+    index = tuple(int(i) for i in np.argwhere(flags)[0])
+    where = index[0] if len(index) == 1 else index
+    return f" (stack index {where})", float(values[index])
 
 
 def concurrence(rho):
     """Wootters concurrence of a two-qubit density matrix.
+
+    rho is a 4x4 state, for which a float is returned, or a stack of them
+    with shape (..., 4, 4), for which an array of shape (...) is returned;
+    a stack takes one eigh and one svd call for all its states. Every
+    state must pass the PSD floor and the trace check; for a stack the
+    error names the index of the first state that fails.
 
     Computed in a square-root-free form: factor rho = L L^dagger from its
     eigendecomposition; the spectrum of rho rhotilde equals that of
@@ -47,16 +60,23 @@ def concurrence(rho):
     rhotilde followed by a square root would lose half the digits.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence is defined for 4x4 states, got {rho.shape}")
-    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    if w[0] < -PSD_SLACK:
-        raise NumericalError(f"state eigenvalue {w[0]} below -{PSD_SLACK}")
-    if abs(w.sum() - 1.0) > 1e-8:
-        raise ValueError(f"state trace {w.sum()} is not 1")
-    left = v * np.sqrt(np.clip(w, 0.0, None))
-    mu = np.linalg.svd(left.T @ _YY @ left, compute_uv=False)
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+    lowest = w[..., 0]
+    negative = lowest < -PSD_SLACK
+    if np.any(negative):
+        where, value = _first_flagged(negative, lowest)
+        raise NumericalError(f"state eigenvalue {value} below -{PSD_SLACK}{where}")
+    traces = w.sum(axis=-1)
+    off = np.abs(traces - 1.0) > 1e-8
+    if np.any(off):
+        where, value = _first_flagged(off, traces)
+        raise ValueError(f"state trace {value} is not 1{where}")
+    left = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    mu = np.linalg.svd(left.swapaxes(-1, -2) @ _YY @ left, compute_uv=False)
+    c = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
 def fidelity(rho, target):
@@ -124,7 +144,7 @@ def all_pairs(n):
 
 
 def reduced_pair(network_state, pair, num_qubits):
-    """Two-qubit reduction of a network state onto the given pair."""
+    """Two-qubit reduction of a network state, or of a stack of them, onto a pair."""
     i, j = pair
     if not (0 <= i < j < num_qubits):
         raise ValueError(f"pair {pair} invalid for {num_qubits} qubits")
@@ -136,16 +156,18 @@ def pair_concurrences(trajectory, pairs=None):
     """Concurrence of each tracked pair at every step.
 
     Returns (pairs, table) where table has shape (steps + 1, len(pairs))
-    and row n corresponds to record n of the trajectory.
+    and row n belongs to the network state after the n-th collision. Each
+    pair is reduced over all steps in one partial_trace call, and the
+    whole table takes one stacked concurrence call.
     """
     n = trajectory.config.spec.topology.n
     if pairs is None:
         pairs = all_pairs(n)
-    table = np.zeros((len(trajectory.records), len(pairs)))
-    for row, record in enumerate(trajectory.records):
-        for col, pair in enumerate(pairs):
-            table[row, col] = concurrence(reduced_pair(record.network_state, pair, n))
-    return pairs, table
+    states = trajectory.network
+    reduced = np.empty((len(states), len(pairs), 4, 4), dtype=complex)
+    for col, pair in enumerate(pairs):
+        reduced[:, col] = reduced_pair(states, pair, n)
+    return pairs, concurrence(reduced)
 
 
 def find_peaks(series, min_height):

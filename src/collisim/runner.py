@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .dynamics import ProtocolConfig, ProtocolMode, run_protocol
+from .dynamics import ProtocolConfig, ProtocolMode, check_run_size, run_protocol
 from .linalg import NumericalError
 from .metrics import (
     PeakReport,
@@ -76,8 +76,8 @@ _REQUIRED_FIELDS = [
 
 
 _NUMBER_KEYS = ("omega", "omega0", "dt", "peak_min_height")
-# Peak finding compares each recorded state with its neighbours, so a run
-# needs at least three records: the initial state and two steps.
+# Peak finding compares each stored state with its neighbours, so a run
+# needs at least three of them: the initial state and two steps.
 _MIN_STEPS = 2
 
 
@@ -268,12 +268,16 @@ def build_protocol(cfg):
     mode_key = str(cfg.mode).lower()
     if mode_key not in _MODES:
         raise ValueError(f'mode must be "collision" or "repeated", got {cfg.mode!r}')
+    steps = _parse_steps(cfg.steps)
+    # ProtocolConfig checks this too, but the network ket built for it
+    # below already takes 2**n entries.
+    check_run_size(n, steps)
     network_init = "0" * n if cfg.network_init is None else cfg.network_init
     protocol = ProtocolConfig(
         spec=spec,
         mode=_MODES[mode_key],
         dt=numbers["dt"],
-        steps=_parse_steps(cfg.steps),
+        steps=steps,
         ancilla_init=_parse_ket(cfg.ancilla_init, "ancilla_init"),
         network_init=_parse_bitstring(network_init, n, "network_init"),
     )
@@ -361,7 +365,7 @@ def run_experiment(cfg):
     peaks = []
     for col, pair in enumerate(pairs):
         for index, value in find_peaks(table[:, col], min_height):
-            state = reduced_pair(trajectory.records[index].network_state, pair, n)
+            state = reduced_pair(trajectory.network[index], pair, n)
             label, fid = characterize_peak(state)
             peaks.append(PeakReport(pair, index, value, label, fid))
     peaks.sort(key=lambda p: (-p.concurrence, p.n, p.pair))
@@ -412,12 +416,13 @@ def emit_csv(result, path):
     """
     labels = [pair_label(p) for p in result.pairs]
     header = "step,time," + ",".join(f"C_{lab}" for lab in labels) + ",ancilla_purity"
+    dt = result.trajectory.config.dt
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row, record in enumerate(result.trajectory.records):
-            cells = [str(record.n), f"{record.time:.12g}"]
+        for row, anc in enumerate(result.trajectory.ancilla):
+            cells = [str(row), f"{row * dt:.12g}"]
             cells += [f"{result.table[row, col]:.12g}" for col in range(len(labels))]
-            cells.append(f"{purity(record.ancilla_state):.12g}")
+            cells.append(f"{purity(anc):.12g}")
             fh.write(",".join(cells) + "\n")
 
 

@@ -1,17 +1,41 @@
-"""Reference step map for differential tests of the Kraus-form kernel.
+"""Reference implementations kept only as test oracles.
 
-This is the step as it was computed before the kernel applied the network
-channel in operator-sum form: tensor the ancilla and network marginals,
-conjugate the joint state by the full register propagator, trace each
-side back out, then hermitize and renormalize. It costs three register-
-sized products per step and is kept here only as an oracle.
+reference_step is the step as it was computed before the kernel applied
+the network channel in operator-sum form: tensor the ancilla and network
+marginals, conjugate the joint state by the full register propagator,
+trace each side back out, then hermitize and renormalize. It costs three
+register-sized products per step.
+
+spin_flip and eigvals_general give concurrence's textbook eigenvalue
+route, which cross-checks the library's singular-value form.
 """
 
 import numpy as np
 
 from collisim.dynamics import ProtocolMode
-from collisim.linalg import num_qubits_of, partial_trace
+from collisim.linalg import SIGMA_Y, NumericalError, num_qubits_of, partial_trace
 from collisim.network import build_propagator
+
+_YY = np.kron(SIGMA_Y, SIGMA_Y).real
+
+
+def spin_flip(rho):
+    """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y) for a two-qubit state."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"spin flip is defined for 4x4 states, got {rho.shape}")
+    return _YY @ rho.conj() @ _YY
+
+
+def eigvals_general(m):
+    """All eigenvalues of a general (possibly non-Hermitian) square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    try:
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def _hermitize(rho):

@@ -53,7 +53,7 @@ def peak_near(result, label, n0):
 def state_at(result, label, n):
     labels = [pair_label(p) for p in result.pairs]
     pair = result.pairs[labels.index(label)]
-    net = result.trajectory.records[n].network_state
+    net = result.trajectory.network[n]
     return reduced_pair(net, pair, result.trajectory.config.spec.topology.n)
 
 
@@ -62,11 +62,8 @@ def assert_modes_agree(name, tol):
     runs = {}
     for mode in ("collision", "repeated"):
         runs[mode] = run_experiment(dataclasses.replace(cfg, mode=mode))
-    state_delta = max(
-        float(np.max(np.abs(a.network_state - b.network_state)))
-        for a, b in zip(
-            runs["collision"].trajectory.records, runs["repeated"].trajectory.records
-        )
+    state_delta = float(
+        np.max(np.abs(runs["collision"].trajectory.network - runs["repeated"].trajectory.network))
     )
     table_delta = float(np.max(np.abs(runs["collision"].table - runs["repeated"].table)))
     assert state_delta <= tol
@@ -229,8 +226,8 @@ def test_criterion_8_property_suites():
     for name in PRESETS:
         protocol, _, _ = build_protocol(dataclasses.replace(preset(name), steps=500))
         trajectory = run_protocol(protocol)
-        for record in trajectory.records:
-            for rho in (record.network_state, record.ancilla_state):
+        for states in (trajectory.network, trajectory.ancilla):
+            for rho in states:
                 assert abs(np.trace(rho).real - 1.0) <= 1e-9
                 assert float(np.linalg.eigvalsh(rho)[0]) > -1e-8
 

@@ -66,6 +66,15 @@ class TestExitCodes:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_run_over_the_storage_limit(self, tmp_path, capsys):
+        chain12 = [[1 if abs(i - j) == 1 else 0 for j in range(12)] for i in range(12)]
+        path = write_config(tmp_path, topology=chain12, target="A", steps=80, network_init=None)
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "steps=80 on 12 network qubits" in captured.err
+        assert "GiB" in captured.err
+        assert captured.out == ""
+
     def test_invalid_yaml_syntax(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("topology: [linear3\n", encoding="utf-8")

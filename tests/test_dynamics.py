@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collisim.dynamics import (
+    MAX_RUN_BYTES,
     Propagator,
     ProtocolConfig,
     ProtocolMode,
@@ -24,6 +25,7 @@ from collisim.linalg import (
 from collisim.network import (
     CouplingKind,
     NetworkSpec,
+    Topology,
     build_propagator,
     build_system_hamiltonian,
     preset_topology,
@@ -131,19 +133,17 @@ class TestCollisionStep:
 class TestRunProtocol:
     def test_record_layout(self):
         traj = run_protocol(make_config(steps=7, dt=0.25))
-        assert [r.n for r in traj.records] == list(range(8))
-        assert np.allclose([r.time for r in traj.records], 0.25 * np.arange(8))
-        assert traj.records[0].network_state.shape == (8, 8)
-        assert traj.records[0].ancilla_state.shape == (2, 2)
-        assert len(traj.network_states()) == 8
+        assert traj.network.shape == (8, 8, 8)
+        assert traj.ancilla.shape == (8, 2, 2)
+        assert traj.network.dtype == traj.ancilla.dtype == complex
+        assert traj.network_states() is traj.network
+        assert np.array_equal(traj.network[0], density_from_pure(basis_ket(3)))
+        assert np.array_equal(traj.ancilla[0], density_from_pure(KET_PLUS))
 
     def test_modes_agree_after_one_step(self):
         cm = run_protocol(make_config(mode=ProtocolMode.COLLISION, steps=1))
         rim = run_protocol(make_config(mode=ProtocolMode.REPEATED_INTERACTION, steps=1))
-        delta = np.abs(
-            cm.records[1].network_state - rim.records[1].network_state
-        )
-        assert np.max(delta) == 0.0
+        assert np.max(np.abs(cm.network[1] - rim.network[1])) == 0.0
 
     def test_modes_agree_when_ancilla_state_is_preserved(self):
         # A ZZ ancilla coupling cannot change diagonal ancilla states, so
@@ -162,11 +162,11 @@ class TestRunProtocol:
                     ancilla_init=anc,
                 )
                 runs[mode] = run_protocol(cfg)
-            for rec_cm, rec_rim in zip(
-                runs[ProtocolMode.COLLISION].records,
-                runs[ProtocolMode.REPEATED_INTERACTION].records,
-            ):
-                assert np.max(np.abs(rec_cm.network_state - rec_rim.network_state)) < 1e-12
+            delta = np.abs(
+                runs[ProtocolMode.COLLISION].network
+                - runs[ProtocolMode.REPEATED_INTERACTION].network
+            )
+            assert np.max(delta) < 1e-12
 
     def test_decoupled_network_evolves_unitarily(self):
         # With the ancilla coupling off, every step conjugates the network
@@ -178,16 +178,16 @@ class TestRunProtocol:
         u = expm_hermitian(h, -1j * cfg.dt)
         rho = density_from_pure(basis_ket(3, 1))
         anc0 = density_from_pure(KET_PLUS)
-        for rec in traj.records:
-            assert np.max(np.abs(rec.network_state - rho)) < 1e-9
-            assert np.max(np.abs(rec.ancilla_state - anc0)) < 1e-12
+        for net, anc in zip(traj.network, traj.ancilla):
+            assert np.max(np.abs(net - rho)) < 1e-9
+            assert np.max(np.abs(anc - anc0)) < 1e-12
             rho = u @ rho @ u.conj().T
 
     def test_states_stay_physical_over_long_runs(self):
         for mode in ProtocolMode:
             traj = run_protocol(make_config(mode=mode, steps=500))
-            for rec in traj.records:
-                for rho in (rec.network_state, rec.ancilla_state):
+            for states in (traj.network, traj.ancilla):
+                for rho in states:
                     assert abs(np.trace(rho).real - 1.0) < 1e-12
                     assert np.max(np.abs(rho - rho.conj().T)) == 0.0
                     evals = np.linalg.eigvalsh(rho)
@@ -203,23 +203,23 @@ class TestRunProtocol:
             cfg = make_config(mode=mode, steps=40)
             traj = run_protocol(cfg)
             u = build_propagator(cfg.spec, cfg.dt)
-            anc0 = traj.records[0].ancilla_state
-            for prev, cur in zip(traj.records, traj.records[1:]):
-                anc_in = anc0 if mode is ProtocolMode.COLLISION else prev.ancilla_state
-                net, anc = collision_step(prev.network_state, anc_in, u)
-                assert np.array_equal(net, cur.network_state)
-                assert np.array_equal(anc, cur.ancilla_state)
+            anc0 = traj.ancilla[0]
+            for n in range(1, cfg.steps + 1):
+                anc_in = anc0 if mode is ProtocolMode.COLLISION else traj.ancilla[n - 1]
+                net, anc = collision_step(traj.network[n - 1], anc_in, u)
+                assert np.array_equal(net, traj.network[n])
+                assert np.array_equal(anc, traj.ancilla[n])
 
     def test_accepts_density_matrix_inputs(self):
         mixed_net = np.eye(8, dtype=complex) / 8.0
         traj = run_protocol(make_config(network_init=mixed_net, steps=3))
-        assert traj.records[0].network_state.shape == (8, 8)
+        assert np.array_equal(traj.network[0], mixed_net)
 
     def test_initial_states_are_copied(self):
         mixed_net = np.eye(8, dtype=complex) / 8.0
         traj = run_protocol(make_config(network_init=mixed_net, steps=1))
         mixed_net[0, 0] = 0.0
-        assert abs(traj.records[0].network_state[0, 0] - 1.0 / 8.0) < 1e-15
+        assert abs(traj.network[0, 0, 0] - 1.0 / 8.0) < 1e-15
 
 
 class TestValidation:
@@ -228,6 +228,29 @@ class TestValidation:
             make_config(steps=0)
         with pytest.raises(ValueError):
             make_config(steps=2.5)
+
+    def test_rejects_boolean_steps(self):
+        # int(True) == True, so only an explicit check keeps a flag from
+        # passing as one step.
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match="steps"):
+                make_config(steps=flag)
+        assert make_config(steps=1).steps == 1
+
+    def test_rejects_runs_over_the_storage_limit(self):
+        def chain_config(n, steps):
+            adjacency = [[1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+            spec = make_spec(topology=Topology(n, np.array(adjacency)))
+            return make_config(spec=spec, steps=steps, network_init=basis_ket(n))
+
+        with pytest.raises(ValueError, match="steps=80 on 12 network qubits"):
+            chain_config(12, 80)
+        # At n = 9 a step stores 4 MiB and the propagator 16 MiB, so 507
+        # steps fill 2 GiB exactly and one more step is over the limit.
+        assert MAX_RUN_BYTES == 2 * 2**30
+        assert chain_config(9, 507).steps == 507
+        with pytest.raises(ValueError, match="steps=508 on 9 network qubits"):
+            chain_config(9, 508)
 
     def test_rejects_bad_dt(self):
         for dt in (0.0, np.nan, np.inf):
@@ -275,12 +298,11 @@ class TestAgainstReferenceStep:
     def test_trajectories_agree(self, case, mode):
         protocol = differential_protocol(case, mode)
         traj = run_protocol(protocol)
-        first = traj.records[0]
-        want = reference_trajectory(protocol, first.network_state, first.ancilla_state)
-        assert len(want) == len(traj.records) == 201
-        for rec, (net, anc) in zip(traj.records, want):
-            assert np.max(np.abs(rec.network_state - net)) <= 1e-12
-            assert np.max(np.abs(rec.ancilla_state - anc)) <= 1e-12
+        want = reference_trajectory(protocol, traj.network[0], traj.ancilla[0])
+        assert len(want) == len(traj.network) == len(traj.ancilla) == 201
+        for got_net, got_anc, (net, anc) in zip(traj.network, traj.ancilla, want):
+            assert np.max(np.abs(got_net - net)) <= 1e-12
+            assert np.max(np.abs(got_anc - anc)) <= 1e-12
 
 
 def random_unitary(rng, dim):
@@ -364,7 +386,7 @@ class TestKrausChannel:
 
         monkeypatch.setattr(Propagator, "checked", staticmethod(fail))
         traj = run_protocol(make_config(steps=5))
-        assert len(traj.records) == 6
+        assert len(traj.network) == 6
 
     def test_rejects_non_finite_ancilla(self):
         net = density_from_pure(basis_ket(3))
@@ -378,3 +400,56 @@ class TestKrausChannel:
         anc = np.eye(4, dtype=complex) / 4.0
         with pytest.raises(ValueError):
             collision_step(net, anc, np.eye(16, dtype=complex))
+
+
+class TestModesAgreeForConservingCouplings:
+    """Demo 03's argument as a property.
+
+    An XX (ZZ) ancilla coupling commutes with the ancilla's sigma_x
+    (sigma_z), so each step reads only the ancilla populations in that
+    basis, and those never change. Resetting the ancilla and carrying it
+    forward must then give the same network trajectory for any topology,
+    network coupling, target and ancilla state.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        system=st.sampled_from(list(CouplingKind)),
+        ancilla=st.sampled_from([CouplingKind.XX, CouplingKind.ZZ]),
+        omega=st.floats(0.0, 20.0),
+        dt=st.floats(0.01, 1.0),
+        minor=MINOR_WEIGHTS,
+        pure_network=st.booleans(),
+        data=st.data(),
+    )
+    def test_network_trajectories_agree(
+        self, seed, n, system, ancilla, omega, dt, minor, pure_network, data
+    ):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        spec = NetworkSpec(
+            topology=Topology(n, upper + upper.T),
+            system_coupling=system,
+            omega0=1.0,
+            ancilla_coupling=ancilla,
+            omega=omega,
+            target=data.draw(st.integers(0, n - 1)),
+        )
+        if pure_network:
+            ket = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            network_init = ket / np.linalg.norm(ket)
+        else:
+            network_init = random_density(rng, 2**n)
+        anc = random_ancilla(rng, minor)
+        runs = [
+            run_protocol(
+                ProtocolConfig(
+                    spec=spec, mode=mode, dt=dt, steps=40,
+                    ancilla_init=anc, network_init=network_init,
+                )
+            )
+            for mode in ProtocolMode
+        ]
+        assert np.max(np.abs(runs[0].network - runs[1].network)) <= 1e-10

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisim.linalg import (
     ATOL_STATE,
@@ -14,7 +16,6 @@ from collisim.linalg import (
     check_density_matrix,
     check_pure_state,
     density_from_pure,
-    eigvals_general,
     embed_single,
     expm_hermitian,
     herm_eig,
@@ -22,15 +23,16 @@ from collisim.linalg import (
     num_qubits_of,
     partial_trace,
 )
+from reference import eigvals_general
 
 
 def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def random_density(rng, n_qubits):
+def random_density(rng, n_qubits, rank=None):
     d = 2**n_qubits
-    a = random_complex(rng, (d, d))
+    a = random_complex(rng, (d, d if rank is None else rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
@@ -244,6 +246,53 @@ class TestPartialTrace:
         rho = np.eye(4) / 4
         with pytest.raises(ValueError):
             partial_trace(rho, {2})
+
+    def test_qubit_count_must_match_the_shape(self):
+        with pytest.raises(ValueError, match="does not hold 2 qubits"):
+            partial_trace(np.eye(8) / 8, {0}, num_qubits=2)
+
+
+class TestStackedPartialTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        size=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_matches_single_state_calls(self, seed, n, size, data):
+        rng = np.random.default_rng(seed)
+        discard = data.draw(st.sets(st.integers(0, n - 1)))
+        stack = np.array(
+            [random_density(rng, n, rank=int(rng.integers(1, 5))) for _ in range(size)]
+        )
+        got = partial_trace(stack, discard)
+        d = 2 ** (n - len(discard))
+        assert got.shape == (size, d, d)
+        for i in range(size):
+            assert np.array_equal(got[i], partial_trace(stack[i], discard))
+
+    def test_several_leading_axes(self):
+        rng = np.random.default_rng(25)
+        stack = np.array([random_density(rng, 3) for _ in range(6)]).reshape(2, 3, 8, 8)
+        got = partial_trace(stack, {1})
+        assert got.shape == (2, 3, 4, 4)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], partial_trace(stack[i, j], {1}))
+
+    def test_discard_everything_keeps_the_stack(self):
+        rng = np.random.default_rng(26)
+        stack = np.array([random_density(rng, 2) for _ in range(4)])
+        out = partial_trace(stack, {0, 1})
+        assert out.shape == (4, 1, 1)
+        assert np.max(np.abs(out - 1.0)) < 1e-10
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            partial_trace(np.zeros((3, 4, 2)), {0})
+        with pytest.raises(ValueError, match="power of two"):
+            partial_trace(np.zeros((3, 6, 6)), {0})
 
 
 class TestEigvalsGeneral:

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisim.dynamics import ProtocolConfig, ProtocolMode, run_protocol
 from collisim.linalg import (
     NumericalError,
     density_from_pure,
-    eigvals_general,
     kron,
 )
 from collisim.metrics import (
@@ -20,9 +21,9 @@ from collisim.metrics import (
     pair_concurrences,
     purity,
     reduced_pair,
-    spin_flip,
 )
 from collisim.network import CouplingKind, NetworkSpec, preset_topology
+from reference import eigvals_general, spin_flip
 
 RT2 = 1.0 / np.sqrt(2.0)
 PHI_PLUS = np.array([RT2, 0, 0, RT2], dtype=complex)
@@ -146,6 +147,70 @@ class TestConcurrence:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             concurrence(np.eye(8) / 8.0)
+
+
+class TestStackedConcurrence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        size=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_matches_single_state_calls(self, seed, n, size, data):
+        # Two-qubit reductions of random n-qubit states of rank 1..4.
+        rng = np.random.default_rng(seed)
+        pair = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2))))
+        states = np.array(
+            [random_density(rng, 2**n, rank=int(rng.integers(1, 5))) for _ in range(size)]
+        )
+        stack = reduced_pair(states, pair, n)
+        for i in range(size):
+            assert np.array_equal(stack[i], reduced_pair(states[i], pair, n))
+        got = concurrence(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (size,)
+        for i in range(size):
+            single = concurrence(stack[i])
+            assert isinstance(single, float)
+            assert got[i] == single
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 20),
+        data=st.data(),
+        bad=st.sampled_from(["negative", "trace"]),
+    )
+    def test_bad_state_is_named_by_index(self, seed, size, data, bad):
+        rng = np.random.default_rng(seed)
+        stack = np.array(
+            [random_density(rng, 4, rank=int(rng.integers(1, 5))) for _ in range(size)]
+        )
+        index = data.draw(st.integers(0, size - 1))
+        if bad == "negative":
+            stack[index] = np.diag([1.1, -0.1, 0.0, 0.0])
+            error = NumericalError
+        else:
+            stack[index] = np.eye(4) / 2.0
+            error = ValueError
+        with pytest.raises(error, match=rf"\(stack index {index}\)"):
+            concurrence(stack)
+
+    def test_several_leading_axes(self):
+        rng = np.random.default_rng(37)
+        stack = np.array([random_density(rng, 4) for _ in range(6)]).reshape(3, 2, 4, 4)
+        got = concurrence(stack)
+        assert got.shape == (3, 2)
+        for i in range(3):
+            for j in range(2):
+                assert got[i, j] == concurrence(stack[i, j])
+        stack[2, 1] = np.eye(4)
+        with pytest.raises(ValueError, match=r"\(stack index \(2, 1\)\)"):
+            concurrence(stack)
+
+    def test_rejects_wrong_shape_stack(self):
+        with pytest.raises(ValueError, match="4x4"):
+            concurrence(np.array([np.eye(8) / 8.0] * 3))
 
 
 class TestFidelity:
@@ -282,8 +347,8 @@ class TestPairConcurrences:
     def test_matches_direct_loop(self):
         traj = self.make_trajectory(steps=6)
         pairs, table = pair_concurrences(traj, pairs=[(1, 2)])
-        for row, rec in enumerate(traj.records):
-            want = concurrence(reduced_pair(rec.network_state, (1, 2), 3))
+        for row, state in enumerate(traj.network):
+            want = concurrence(reduced_pair(state, (1, 2), 3))
             assert table[row, 0] == want
 
     def test_all_pairs_helper(self):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
+import collisim.dynamics as dynamics_module
+import collisim.runner as runner_module
 from collisim.dynamics import ProtocolMode
 from collisim.network import CouplingKind
 from collisim.runner import (
@@ -203,6 +205,24 @@ class TestBuildProtocol:
         with pytest.raises(ValueError, match="norm"):
             run_experiment(small_config(ancilla_init=[1.0, 1.0]))
 
+    def test_rejects_runs_over_the_storage_limit(self, monkeypatch):
+        # 80 steps on a 12-qubit chain would store about 20 GiB of network
+        # states; the config fails before the network ket, the propagator or
+        # the trajectory exists.
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(runner_module, "_parse_bitstring", fail)
+        monkeypatch.setattr(runner_module, "run_protocol", fail)
+        monkeypatch.setattr(dynamics_module, "build_propagator", fail)
+        chain12 = [[1 if abs(i - j) == 1 else 0 for j in range(12)] for i in range(12)]
+        cfg = small_config(topology=chain12, target="A", steps=80)
+        with pytest.raises(ValueError, match="steps=80 on 12 network qubits"):
+            run_experiment(cfg)
+        rows = sweep(cfg, "omega", [5.0])
+        assert isinstance(rows[0].error, ValueError)
+        assert "steps=80 on 12 network qubits" in str(rows[0].error)
+
     def test_custom_adjacency(self):
         ring4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
         cfg = small_config(topology=ring4, target="D", steps=5, network_init="0000")
@@ -312,6 +332,9 @@ class TestOutputs:
         assert float(first[1]) == 0.0
         assert [float(c) for c in first[2:5]] == [0.0, 0.0, 0.0]
         assert float(first[5]) == 1.0
+        # Row n is the state after the n-th collision, at time n * dt.
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+        assert [line.split(",")[1] for line in lines[1:]] == [f"{n * 0.4:.12g}" for n in range(5)]
 
     def test_csv_values_match_table(self, tmp_path):
         result = run_experiment(small_config(steps=4))
