@@ -18,14 +18,13 @@ from collisim import (
     build_propagator,
     density_from_pure,
     embed_single,
-    kron,
     partial_trace,
     preset_topology,
 )
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
-# Qubit 0 is the most significant bit of the basis index, so kron(a, b)
+# Qubit 0 is the most significant bit of the basis index, so np.kron(a, b)
 # puts `a` on the high bits. A sigma_x on qubit 0 of two:
 print("sigma_x on qubit 0 of 2:")
 print(embed_single(SIGMA_X, 0, 2).real)
@@ -62,6 +61,6 @@ print("\nreduced Bell pair, then one more reduction:")
 print(pair.real)
 print(partial_trace(pair, {0}).real)
 
-# kron and embed_single agree on where a qubit lives.
-assert np.allclose(kron(SIGMA_X, np.eye(2)), embed_single(SIGMA_X, 0, 2))
+# np.kron and embed_single agree on where a qubit lives.
+assert np.allclose(np.kron(SIGMA_X, np.eye(2)), embed_single(SIGMA_X, 0, 2))
 print("\nconventions check out.")

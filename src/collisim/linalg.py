@@ -46,11 +46,6 @@ def num_qubits_of(dim, what="operator"):
     return n
 
 
-def kron(a, b):
-    """Tensor product of two operators; qubits of `a` become the high bits."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def embed_single(op, site, n):
     """Embed a single-qubit operator at `site` in an n-qubit register.
 
@@ -72,25 +67,17 @@ def is_hermitian(m, atol=ATOL_STATE):
     return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
-def herm_eig(h):
-    """Eigendecomposition of a Hermitian matrix.
+def expm_hermitian(h, scale):
+    """exp(scale * h) for Hermitian h, via eigendecomposition.
 
-    Returns (eigenvalues ascending, eigenvector columns) with
-    h = V diag(w) V^dagger.
+    h must be square and Hermitian within ATOL_STATE, or ValueError is
+    raised. With purely imaginary scale the result is unitary up to
+    eigensolver accuracy, which is what the propagators rely on.
     """
     h = _as_square(h, "Hermitian matrix")
     if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(h)
-
-
-def expm_hermitian(h, scale):
-    """exp(scale * h) for Hermitian h, via eigendecomposition.
-
-    With purely imaginary scale the result is unitary up to eigensolver
-    accuracy, which is what the propagators rely on.
-    """
-    w, v = herm_eig(h)
+    w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)) @ v.conj().T
 
 

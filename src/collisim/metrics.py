@@ -94,9 +94,14 @@ def fidelity(rho, target):
 
 
 def purity(rho):
-    """tr(rho^2), from 1/dim for the maximally mixed state up to 1."""
+    """tr(rho^2), from 1/dim for the maximally mixed state up to 1.
+
+    rho is one state, for which a float is returned, or a stack with
+    shape (..., d, d), for which an array of shape (...) is returned.
+    """
     rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    p = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(eq=False)

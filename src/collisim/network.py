@@ -23,10 +23,6 @@ from .linalg import (
     expm_hermitian,
 )
 
-ANCILLA_INDEX = 0
-NETWORK_OFFSET = 1
-
-
 class CouplingKind(Enum):
     """Pairwise interaction type used for a simulation."""
 
@@ -107,71 +103,56 @@ class NetworkSpec:
             raise ValueError("coupling strengths must be finite and non-negative")
 
 
-def _embed_pair(op_i, i, op_j, j, n_total):
-    """op_i in slot i times op_j in slot j, as one kron chain.
+def _embed_pair(op_i, i, op_j, j, n):
+    """op_i in slot i times op_j in slot j, as one np.kron chain.
 
     Equals embed_single(op_i, i, n) @ embed_single(op_j, j, n) for i != j
     without the register-sized product.
     """
     out = np.array([[1.0 + 0.0j]])
-    for k in range(n_total):
+    for k in range(n):
         out = np.kron(out, op_i if k == i else op_j if k == j else IDENTITY_2)
     return out
 
 
-def pair_term(kind, i, j, n_total):
-    """Two-qubit coupling operator embedded in an n_total-qubit register.
+def pair_term(kind, i, j, n):
+    """Two-qubit coupling operator embedded in an n-qubit register.
 
     XX gives sigma_x sigma_x, ZZ gives sigma_z sigma_z, and Exchange gives
     (sigma_plus sigma_minus + sigma_minus sigma_plus) / 2.
     """
     if i == j:
         raise ValueError("pair_term needs two distinct qubits")
-    if not (0 <= i < n_total and 0 <= j < n_total):
-        raise ValueError(f"pair ({i}, {j}) outside register of {n_total} qubits")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"pair ({i}, {j}) outside register of {n} qubits")
     if kind is CouplingKind.XX:
-        return _embed_pair(SIGMA_X, i, SIGMA_X, j, n_total)
+        return _embed_pair(SIGMA_X, i, SIGMA_X, j, n)
     if kind is CouplingKind.ZZ:
-        return _embed_pair(SIGMA_Z, i, SIGMA_Z, j, n_total)
+        return _embed_pair(SIGMA_Z, i, SIGMA_Z, j, n)
     if kind is CouplingKind.EXCHANGE:
-        up = _embed_pair(SIGMA_PLUS, i, SIGMA_MINUS, j, n_total)
-        down = _embed_pair(SIGMA_MINUS, i, SIGMA_PLUS, j, n_total)
+        up = _embed_pair(SIGMA_PLUS, i, SIGMA_MINUS, j, n)
+        down = _embed_pair(SIGMA_MINUS, i, SIGMA_PLUS, j, n)
         return 0.5 * (up + down)
     raise ValueError(f"unknown coupling kind {kind!r}")
 
 
-def build_system_hamiltonian(spec, n_total=None, network_offset=NETWORK_OFFSET):
+def build_system_hamiltonian(spec):
     """Network Hamiltonian omega0 * sum over coupled pairs of pair_term.
 
-    By default the network is embedded in the full register (ancilla in
-    slot 0); pass n_total = spec.topology.n, network_offset = 0 for the
-    bare network operator.
+    Acts on the n network qubits alone; build_propagator places it in
+    the register next to the ancilla.
     """
-    topo = spec.topology
-    if n_total is None:
-        n_total = network_offset + topo.n
-    if network_offset + topo.n > n_total:
-        raise ValueError("network does not fit in the register")
-    dim = 2**n_total
-    h = np.zeros((dim, dim), dtype=complex)
-    for i, j in topo.edges():
-        h += pair_term(
-            spec.system_coupling, i + network_offset, j + network_offset, n_total
-        )
+    n = spec.topology.n
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for i, j in spec.topology.edges():
+        h += pair_term(spec.system_coupling, i, j, n)
     return spec.omega0 * h
 
 
-def build_interaction_hamiltonian(
-    spec, n_total=None, ancilla_index=ANCILLA_INDEX, network_offset=NETWORK_OFFSET
-):
-    """Ancilla-network coupling omega * pair_term(ancilla, target)."""
-    topo = spec.topology
-    if n_total is None:
-        n_total = network_offset + topo.n
-    if network_offset <= ancilla_index < network_offset + topo.n:
-        raise ValueError("ancilla index collides with the network slots")
+def build_interaction_hamiltonian(spec):
+    """Ancilla-network coupling omega * pair_term(ancilla, target) on the register."""
     return spec.omega * pair_term(
-        spec.ancilla_coupling, ancilla_index, spec.target + network_offset, n_total
+        spec.ancilla_coupling, 0, spec.target + 1, spec.topology.n + 1
     )
 
 
@@ -183,8 +164,8 @@ def build_propagator(spec, dt):
     """
     if dt <= 0:
         raise ValueError(f"step duration must be positive, got {dt}")
-    h = build_system_hamiltonian(spec) + build_interaction_hamiltonian(spec)
-    u = expm_hermitian(h, -1j * dt)
+    h = np.kron(IDENTITY_2, build_system_hamiltonian(spec))
+    u = expm_hermitian(h + build_interaction_hamiltonian(spec), -1j * dt)
     defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if defect > ATOL_UNITARY:
         raise NumericalError(f"propagator unitarity defect {defect}")

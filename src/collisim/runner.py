@@ -36,7 +36,6 @@ from .network import (
     Topology,
     pair_label,
     preset_topology,
-    qubit_label,
 )
 
 
@@ -95,6 +94,10 @@ def config_from_dict(doc):
     for key in _NUMBER_KEYS:
         setattr(cfg, key, _parse_number(getattr(cfg, key), key))
     cfg.steps = _parse_steps(cfg.steps)
+    for key in ("csv_path", "report_path"):
+        value = getattr(cfg, key)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"config key {key} must be a file path, got {value!r}")
     return cfg
 
 
@@ -187,24 +190,20 @@ def _parse_topology(value):
     raise ValueError(f"topology must be a preset name or adjacency rows, got {value!r}")
 
 
-def _parse_target(value, n):
+def _parse_qubit(value, key):
+    """Qubit index from a letter (A is 0) or an integer; the caller checks the range."""
     if isinstance(value, str):
         text = value.strip().upper()
         if len(text) == 1 and "A" <= text <= "Z":
             return ord(text) - ord("A")
-        raise ValueError(f"target {value!r} is not a qubit letter or index")
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"target {value!r} is not a qubit letter or index")
+    raise ValueError(f"config key {key}: {value!r} is not a qubit letter or index")
 
 
 def _parse_ket(value, key):
-    if isinstance(value, str):
-        if value in _KETS:
-            return _KETS[value].copy()
-        raise ValueError(
-            f'config key {key} must be "0", "1", "+", "+i", or an amplitude pair'
-        )
+    if isinstance(value, str) and value in _KETS:
+        return _KETS[value].copy()
     if isinstance(value, (list, tuple)) and len(value) == 2:
         try:
             return np.array([complex(a) for a in value])
@@ -227,28 +226,27 @@ def _parse_bitstring(value, n, key):
 def _parse_pairs(value, n):
     if value is None:
         return all_pairs(n)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(
+            f"config key tracked_pairs must be a list of pairs, got {value!r}"
+        )
     pairs = []
     for entry in value:
         if isinstance(entry, str):
-            text = entry.strip().upper()
-            if len(text) != 2:
-                raise ValueError(f"tracked pair {entry!r} must name two qubits")
-            i, j = ord(text[0]) - ord("A"), ord(text[1]) - ord("A")
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            i, j = int(entry[0]), int(entry[1])
-        else:
-            raise ValueError(f"tracked pair {entry!r} must name two qubits")
+            entry = entry.strip()
+        if not isinstance(entry, (str, list, tuple)) or len(entry) != 2:
+            raise ValueError(f"config key tracked_pairs: {entry!r} must name two qubits")
+        i, j = sorted(_parse_qubit(q, "tracked_pairs") for q in entry)
         if i == j:
-            raise ValueError(f"tracked pair {entry!r} repeats a qubit")
-        i, j = min(i, j), max(i, j)
+            raise ValueError(f"config key tracked_pairs: {entry!r} repeats a qubit")
         if not (0 <= i and j < n):
             raise ValueError(
-                f"tracked pair {entry!r} is outside the {n}-qubit network; "
-                "only network pairs can be tracked"
+                f"config key tracked_pairs: {entry!r} is outside the {n}-qubit "
+                "network; only network pairs can be tracked"
             )
         pairs.append((i, j))
     if len(set(pairs)) != len(pairs):
-        raise ValueError("tracked_pairs contains duplicates")
+        raise ValueError("config key tracked_pairs contains duplicates")
     return pairs
 
 
@@ -263,7 +261,7 @@ def build_protocol(cfg):
         omega0=numbers["omega0"],
         ancilla_coupling=_parse_coupling(cfg.ancilla_coupling, "ancilla_coupling"),
         omega=numbers["omega"],
-        target=_parse_target(cfg.target, n),
+        target=_parse_qubit(cfg.target, "target"),
     )
     mode_key = str(cfg.mode).lower()
     if mode_key not in _MODES:
@@ -372,6 +370,24 @@ def run_experiment(cfg):
     return ExperimentResult(cfg, trajectory, pairs, table, peaks)
 
 
+# Exit code and message prefix for each failure the CLI reports; the
+# first matching kind wins. sweep records these kinds in its rows.
+_FAILURES = (
+    (NumericalError, 2, "numerical error"),
+    (ValueError, 1, "error"),
+    (OSError, 3, "io error"),
+)
+_FAILURE_KINDS = tuple(kind for kind, _, _ in _FAILURES)
+
+
+def _failure(exc):
+    """(exit code, message prefix) for an exception of a kind in _FAILURES."""
+    for kind, code, prefix in _FAILURES:
+        if isinstance(exc, kind):
+            return code, prefix
+    raise exc
+
+
 @dataclass(eq=False)
 class SweepRow:
     """Outcome of one sweep point; error is None when the run succeeded."""
@@ -396,7 +412,7 @@ def sweep(base, param, values):
         cfg = dataclasses.replace(base, **{param: value})
         try:
             result = run_experiment(cfg)
-        except (ValueError, NumericalError, OSError) as exc:
+        except _FAILURE_KINDS as exc:
             rows.append(SweepRow(value, {}, exc))
             continue
         top = {}
@@ -417,12 +433,13 @@ def emit_csv(result, path):
     labels = [pair_label(p) for p in result.pairs]
     header = "step,time," + ",".join(f"C_{lab}" for lab in labels) + ",ancilla_purity"
     dt = result.trajectory.config.dt
+    purities = purity(result.trajectory.ancilla)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row, anc in enumerate(result.trajectory.ancilla):
+        for row, anc_purity in enumerate(purities):
             cells = [str(row), f"{row * dt:.12g}"]
             cells += [f"{result.table[row, col]:.12g}" for col in range(len(labels))]
-            cells.append(f"{purity(anc):.12g}")
+            cells.append(f"{anc_purity:.12g}")
             fh.write(",".join(cells) + "\n")
 
 
@@ -472,8 +489,7 @@ def reproduce(name, out_dir="."):
     }
 
 
-def _print_peaks(result, out=None):
-    out = sys.stdout if out is None else out
+def _print_peaks(result):
     by_pair = {}
     for p in result.peaks:
         by_pair.setdefault(p.pair, p)
@@ -482,15 +498,13 @@ def _print_peaks(result, out=None):
         if top is None:
             print(
                 f"C_{pair_label(pair)}: no peaks at or above "
-                f"{result.config.peak_min_height}",
-                file=out,
+                f"{result.config.peak_min_height}"
             )
         else:
             print(
                 f"C_{pair_label(pair)}: peak n={top.n} "
                 f"concurrence={top.concurrence:.6f} target={top.best_target} "
-                f"fidelity={top.fidelity:.6f}",
-                file=out,
+                f"fidelity={top.fidelity:.6f}"
             )
 
 
@@ -526,16 +540,6 @@ def _config_argument(text):
     if text in PRESETS:
         return preset(text)
     return load_config(text)
-
-
-_ERROR_CODES = ((NumericalError, 2), (ValueError, 1), (OSError, 3))
-
-
-def _error_code(exc):
-    for kind, code in _ERROR_CODES:
-        if isinstance(exc, kind):
-            return code
-    raise exc
 
 
 def _cmd_run(args):
@@ -575,7 +579,7 @@ def _cmd_sweep(args):
         if row.error is not None:
             print(f"{args.param}={row.value:g}: error: {row.error}")
             if code == 0:
-                code = _error_code(row.error)
+                code = _failure(row.error)[0]
             continue
         cells = []
         for label, found in row.top.items():
@@ -610,15 +614,10 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
+    except _FAILURE_KINDS as exc:
+        code, prefix = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

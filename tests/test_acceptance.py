@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from collisim.dynamics import collision_step, run_protocol
-from collisim.linalg import density_from_pure, kron
+from collisim.linalg import density_from_pure
 from collisim.metrics import (
     bell_catalog,
     characterize_peak,
@@ -218,9 +218,9 @@ def test_criterion_8_property_suites():
         rho = random_density(4, int(rng.integers(1, 5)))
         c = concurrence(rho)
         assert 0.0 <= c <= 1.0
-        u = kron(random_unitary(2), random_unitary(2))
+        u = np.kron(random_unitary(2), random_unitary(2))
         assert abs(concurrence(u @ rho @ u.conj().T) - c) <= 1e-9
-        product = kron(random_density(2, 2), random_density(2, 2))
+        product = np.kron(random_density(2, 2), random_density(2, 2))
         assert concurrence(product) <= 1e-9
 
     for name in PRESETS:

@@ -52,8 +52,14 @@ class TestExitCodes:
             ("omega0", float("inf"), "must be a finite number"),
             ("dt", float("inf"), "must be a finite number"),
             ("peak_min_height", float("nan"), "must be a finite number"),
+            ("csv_path", True, "must be a file path"),
+            ("csv_path", 2, "must be a file path"),
+            ("report_path", 1, "must be a file path"),
         ],
-        ids=["steps-1", "steps-true", "omega-nan", "omega0-inf", "dt-inf", "peak_min_height-nan"],
+        ids=[
+            "steps-1", "steps-true", "omega-nan", "omega0-inf", "dt-inf",
+            "peak_min_height-nan", "csv_path-true", "csv_path-2", "report_path-1",
+        ],
     )
     def test_bad_values_fail_at_load(self, tmp_path, capsys, key, value, message):
         # Each fails at load, before any step runs, and the message names the key.
@@ -73,6 +79,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "steps=80 on 12 network qubits" in captured.err
         assert "GiB" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "value",
+        [5, [[None, 1]], [[0, 1.7]], [[True, 2]], [["A", "Q"]]],
+        ids=["int", "null", "float", "bool", "bad-letter"],
+    )
+    def test_bad_tracked_pairs_fail_with_one_line(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, tracked_pairs=value)
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config key tracked_pairs")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_invalid_yaml_syntax(self, tmp_path, capsys):
@@ -144,6 +163,22 @@ class TestSweepCommand:
         assert code == 1
         assert "dt=0.4:" in out
         assert "dt=-1: error:" in out
+
+    def test_exit_code_follows_the_first_failing_row(self, monkeypatch, capsys):
+        run_experiment = runner_module.run_experiment
+
+        def flaky(cfg):
+            if cfg.omega == 7.0:
+                raise NumericalError("step correction over budget")
+            return run_experiment(cfg)
+
+        monkeypatch.setattr(runner_module, "run_experiment", flaky)
+        code = main(["sweep", "fig5", "--param", "omega", "--values", "5,7,-1"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "omega=5: C_AB" in out
+        assert "omega=7: error: step correction over budget" in out
+        assert "omega=-1: error:" in out
 
     def test_rejects_unknown_parameter(self, capsys):
         assert main(["sweep", "fig5", "--param", "steps", "--values", "5"]) == 1

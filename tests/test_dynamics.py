@@ -174,7 +174,7 @@ class TestRunProtocol:
         spec = make_spec(omega=0.0)
         cfg = make_config(spec=spec, steps=50, network_init=basis_ket(3, 1))
         traj = run_protocol(cfg)
-        h = build_system_hamiltonian(spec, n_total=3, network_offset=0)
+        h = build_system_hamiltonian(spec)
         u = expm_hermitian(h, -1j * cfg.dt)
         rho = density_from_pure(basis_ket(3, 1))
         anc0 = density_from_pure(KET_PLUS)

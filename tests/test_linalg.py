@@ -18,8 +18,6 @@ from collisim.linalg import (
     density_from_pure,
     embed_single,
     expm_hermitian,
-    herm_eig,
-    kron,
     num_qubits_of,
     partial_trace,
 )
@@ -42,49 +40,15 @@ def random_hermitian(rng, dim):
     return 0.5 * (a + a.conj().T)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_pauli_entries(self):
-        m = kron(SIGMA_X, SIGMA_Z)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = 1
-        expected[1, 3] = -1
-        expected[2, 0] = 1
-        expected[3, 1] = -1
-        assert np.array_equal(m, expected)
-
-    def test_matches_index_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = random_complex(rng, (2, 2))
-            b = random_complex(rng, (2, 2))
-            got = kron(a, b)
-            for i in range(2):
-                for j in range(2):
-                    for k in range(2):
-                        for l in range(2):
-                            want = a[i, j] * b[k, l]
-                            assert abs(got[i * 2 + k, j * 2 + l] - want) < 1e-15
-
-    def test_associative(self):
-        rng = np.random.default_rng(12)
-        a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.max(np.abs(left - right)) < 1e-12
-
-
 class TestEmbedSingle:
     def test_single_qubit_register(self):
         assert np.array_equal(embed_single(SIGMA_Z, 0, 1), SIGMA_Z)
 
     def test_first_of_two(self):
-        assert np.array_equal(embed_single(SIGMA_X, 0, 2), kron(SIGMA_X, IDENTITY_2))
+        assert np.array_equal(embed_single(SIGMA_X, 0, 2), np.kron(SIGMA_X, IDENTITY_2))
 
     def test_middle_of_three(self):
-        expected = kron(kron(IDENTITY_2, SIGMA_Y), IDENTITY_2)
+        expected = np.kron(np.kron(IDENTITY_2, SIGMA_Y), IDENTITY_2)
         assert np.array_equal(embed_single(SIGMA_Y, 1, 3), expected)
 
     def test_site_out_of_range(self):
@@ -96,33 +60,6 @@ class TestEmbedSingle:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             embed_single(np.eye(4), 0, 2)
-
-
-class TestHermEig:
-    def test_sigma_z_spectrum(self):
-        w, _ = herm_eig(SIGMA_Z)
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_sigma_x_eigenvectors(self):
-        w, v = herm_eig(SIGMA_X)
-        assert np.allclose(w, [-1.0, 1.0])
-        minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert abs(abs(minus @ v[:, 0]) - 1.0) < 1e-12
-        assert abs(abs(plus @ v[:, 1]) - 1.0) < 1e-12
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(13)
-        for dim in (2, 4, 8):
-            h = random_hermitian(rng, dim)
-            w, v = herm_eig(h)
-            assert np.all(np.diff(w) >= 0)
-            assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) < 1e-9
-            assert np.max(np.abs(v @ v.conj().T - np.eye(dim))) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            herm_eig(SIGMA_PLUS)
 
 
 def expm_taylor(m):
@@ -169,6 +106,12 @@ class TestExpmHermitian:
         h = random_hermitian(rng, 8)
         u = expm_hermitian(h, -2.3j)
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < ATOL_UNITARY
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            expm_hermitian(SIGMA_PLUS, -1j)
+        with pytest.raises(ValueError, match="square"):
+            expm_hermitian(np.zeros((2, 3)), -1j)
 
 
 def partial_trace_oracle(rho, discard, n):
@@ -308,7 +251,7 @@ class TestEigvalsGeneral:
         rng = np.random.default_rng(22)
         h = random_hermitian(rng, 4)
         general = np.sort(eigvals_general(h).real)
-        hermitian = herm_eig(h)[0]
+        hermitian = np.linalg.eigvalsh(h)
         assert np.max(np.abs(general - hermitian)) < 1e-8
         assert abs(eigvals_general(h).sum() - np.trace(h)) < 1e-8
 

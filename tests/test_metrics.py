@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collisim.dynamics import ProtocolConfig, ProtocolMode, run_protocol
-from collisim.linalg import (
-    NumericalError,
-    density_from_pure,
-    kron,
-)
+from collisim.linalg import NumericalError, density_from_pure
 from collisim.metrics import (
     all_pairs,
     bell_catalog,
@@ -120,14 +116,14 @@ class TestConcurrence:
         rng = np.random.default_rng(33)
         for _ in range(50):
             rho = random_density(rng, 4)
-            u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             rotated = u @ rho @ u.conj().T
             assert abs(concurrence(rotated) - concurrence(rho)) < 1e-9
 
     def test_product_states_have_none(self):
         rng = np.random.default_rng(34)
         for _ in range(50):
-            rho = kron(random_density(rng, 2), random_density(rng, 2))
+            rho = np.kron(random_density(rng, 2), random_density(rng, 2))
             assert concurrence(rho) < 1e-9
 
     def test_range(self):
@@ -295,13 +291,33 @@ class TestPurity:
     def test_maximally_mixed(self):
         assert abs(purity(np.eye(4) / 4.0) - 0.25) < 1e-14
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 4, 8]),
+        shape=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    )
+    def test_stack_matches_single_state_calls(self, seed, dim, shape):
+        rng = np.random.default_rng(seed)
+        states = [
+            random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            for _ in range(int(np.prod(shape)))
+        ]
+        stack = np.array(states).reshape(tuple(shape) + (dim, dim))
+        got = purity(stack)
+        assert isinstance(got, np.ndarray) and got.shape == tuple(shape)
+        for index in np.ndindex(*shape):
+            single = purity(stack[index])
+            assert isinstance(single, float)
+            assert got[index] == single
+
 
 class TestReducedPair:
     def test_extracts_marginal(self):
         rng = np.random.default_rng(36)
         pair_rho = random_density(rng, 4)
         lone = random_density(rng, 2)
-        full = kron(pair_rho, lone)
+        full = np.kron(pair_rho, lone)
         got = reduced_pair(full, (0, 1), 3)
         assert np.max(np.abs(got - pair_rho)) < 1e-12
 

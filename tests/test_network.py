@@ -135,32 +135,31 @@ class TestPairTerm:
 class TestSystemHamiltonian:
     def test_triangle_matches_explicit_sum(self):
         spec = chain_spec(topology=preset_topology("triangle3"), omega0=2.0)
-        h = build_system_hamiltonian(spec, n_total=3, network_offset=0)
+        h = build_system_hamiltonian(spec)
         x = [embed_single(SIGMA_X, q, 3) for q in range(3)]
         expected = 2.0 * (x[0] @ x[1] + x[0] @ x[2] + x[1] @ x[2])
         assert np.max(np.abs(h - expected)) < 1e-12
 
     def test_chain_omits_end_to_end_coupling(self):
         spec = chain_spec()
-        h = build_system_hamiltonian(spec, n_total=3, network_offset=0)
+        h = build_system_hamiltonian(spec)
         x = [embed_single(SIGMA_X, q, 3) for q in range(3)]
         expected = x[0] @ x[1] + x[1] @ x[2]
         assert np.max(np.abs(h - expected)) < 1e-12
 
     def test_default_register_leaves_ancilla_idle(self):
-        spec = chain_spec()
+        # With the ancilla coupling off, the propagator is the network's own
+        # one-step unitary next to an idle ancilla in slot 0.
+        spec = chain_spec(omega=0.0)
         h = build_system_hamiltonian(spec)
-        bare = build_system_hamiltonian(spec, n_total=3, network_offset=0)
-        assert h.shape == (16, 16)
-        assert np.max(np.abs(h - np.kron(IDENTITY_2, bare))) < 1e-12
+        assert h.shape == (8, 8)
+        u_net = expm_hermitian(h, -1j * 0.4)
+        u = build_propagator(spec, 0.4)
+        assert np.max(np.abs(u - np.kron(IDENTITY_2, u_net))) < 1e-12
 
     def test_zero_strength(self):
         spec = chain_spec(omega0=0.0)
         assert not np.any(build_system_hamiltonian(spec))
-
-    def test_register_too_small(self):
-        with pytest.raises(ValueError):
-            build_system_hamiltonian(chain_spec(), n_total=3)
 
 
 class TestInteractionHamiltonian:
@@ -184,10 +183,6 @@ class TestInteractionHamiltonian:
         spec = chain_spec(omega=0.0)
         assert not np.any(build_interaction_hamiltonian(spec))
 
-    def test_ancilla_slot_collision(self):
-        with pytest.raises(ValueError):
-            build_interaction_hamiltonian(chain_spec(), network_offset=0)
-
 
 class TestRelabelSymmetry:
     def test_permutation_helper_moves_single_sites(self):
@@ -209,13 +204,9 @@ class TestRelabelSymmetry:
             for i in range(3):
                 for j in range(3):
                     permuted_adj[perm[i], perm[j]] = topo.adjacency[i, j]
-            original = build_system_hamiltonian(
-                chain_spec(topology=topo), n_total=3, network_offset=0
-            )
+            original = build_system_hamiltonian(chain_spec(topology=topo))
             relabeled = build_system_hamiltonian(
-                chain_spec(topology=Topology(3, permuted_adj)),
-                n_total=3,
-                network_offset=0,
+                chain_spec(topology=Topology(3, permuted_adj))
             )
             assert np.max(np.abs(relabeled - p @ original @ p.conj().T)) < 1e-12
 
@@ -223,11 +214,10 @@ class TestRelabelSymmetry:
         # On the open chain, coupling the ancilla to A and then swapping the
         # two chain ends gives exactly the ancilla-to-C Hamiltonian.
         swap = bit_permutation_matrix([0, 3, 2, 1], 4)
-        h_a = build_system_hamiltonian(chain_spec(target=0)) + (
-            build_interaction_hamiltonian(chain_spec(target=0))
-        )
-        h_c = build_system_hamiltonian(chain_spec(target=2)) + (
-            build_interaction_hamiltonian(chain_spec(target=2))
+        h_a, h_c = (
+            np.kron(IDENTITY_2, build_system_hamiltonian(spec))
+            + build_interaction_hamiltonian(spec)
+            for spec in (chain_spec(target=0), chain_spec(target=2))
         )
         assert np.max(np.abs(swap @ h_a @ swap.conj().T - h_c)) < 1e-12
 
@@ -238,7 +228,7 @@ class TestExchangeConservation:
             topology=preset_topology("triangle3"),
             system_coupling=CouplingKind.EXCHANGE,
         )
-        h = build_system_hamiltonian(spec, n_total=3, network_offset=0)
+        h = build_system_hamiltonian(spec)
         total_z = sum(embed_single(SIGMA_Z, q, 3) for q in range(3))
         comm = h @ total_z - total_z @ h
         assert np.max(np.abs(comm)) < 1e-12
@@ -253,7 +243,8 @@ class TestPropagator:
     def test_short_time_expansion(self):
         spec = chain_spec()
         dt = 1e-6
-        h = build_system_hamiltonian(spec) + build_interaction_hamiltonian(spec)
+        h = np.kron(IDENTITY_2, build_system_hamiltonian(spec))
+        h += build_interaction_hamiltonian(spec)
         u = build_propagator(spec, dt)
         first_order = np.eye(16) - 1j * dt * h
         hnorm = np.linalg.norm(h, ord=2)

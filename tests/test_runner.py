@@ -109,6 +109,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="config key steps must be an integer"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["csv_path", "report_path"])
+    @pytest.mark.parametrize("value", [True, 1, 2.0, ["out.csv"]])
+    def test_rejects_non_string_output_paths(self, key, value):
+        doc = config_to_dict(small_config())
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"config key {key} must be a file path"):
+            config_from_dict(doc)
+
     def test_integral_float_steps_are_accepted(self):
         doc = config_to_dict(small_config())
         doc["steps"] = 6.0
@@ -200,6 +208,33 @@ class TestBuildProtocol:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError, match="target"):
             build_protocol(small_config(target="AB"))
+
+    @pytest.mark.parametrize("value", [True, 1.0, None, "", [1]])
+    def test_target_rejects_non_qubit_values(self, value):
+        with pytest.raises(ValueError, match="config key target"):
+            build_protocol(small_config(target=value))
+
+    @pytest.mark.parametrize(
+        "value",
+        [5, "AB", [[None, 1]], [[0, 1.7]], [[True, 2]], [[0]], [[0, 1, 2]], [7], ["ABC"]],
+        ids=["int", "string", "null", "float", "bool", "one", "three", "int-entry", "long"],
+    )
+    def test_rejects_bad_tracked_pairs(self, value):
+        with pytest.raises(ValueError, match="config key tracked_pairs"):
+            build_protocol(small_config(tracked_pairs=value))
+
+    def test_pair_members_parse_like_the_target(self):
+        # One qubit parser serves both keys: a letter or an index per member.
+        cfg = small_config(tracked_pairs=[["C", 0], ["b", "a"], " BC "])
+        assert build_protocol(cfg)[1] == [(0, 2), (0, 1), (1, 2)]
+        for bad in ("AB", True, 1.5):
+            with pytest.raises(ValueError, match="config key target") as target_error:
+                build_protocol(small_config(target=bad))
+            with pytest.raises(ValueError, match="config key tracked_pairs") as pair_error:
+                build_protocol(small_config(tracked_pairs=[[bad, 0]]))
+            assert str(target_error.value).replace("target", "tracked_pairs") == str(
+                pair_error.value
+            )
 
     def test_unnormalized_amplitudes_fail_at_run_time(self):
         with pytest.raises(ValueError, match="norm"):
