@@ -20,9 +20,9 @@ repair aborts the run.
 The two protocol modes differ only in what is fed to the next step:
 Collision resets the ancilla to its initial state, so its Kraus operators
 are built once per run, while RepeatedInteraction carries the post-step
-ancilla marginal forward. U's unitarity is verified once per propagator:
-by build_propagator for a run, or by Propagator.checked when a raw matrix
-is handed to collision_step.
+ancilla marginal forward. run_protocol makes that choice and checks its
+inputs once, at entry; U's unitarity is verified by build_propagator, and
+collision_step itself checks nothing but its outputs.
 
 run_protocol stores a run as one Trajectory: a (steps + 1, d, d) array of
 network states and a (steps + 1, 2, 2) array of ancilla states, allocated
@@ -38,12 +38,10 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (
-    ATOL_UNITARY,
     NumericalError,
     check_density_matrix,
     check_pure_state,
     density_from_pure,
-    num_qubits_of,
 )
 
 # bench/spans.py wraps partial_trace where this module looks it up, so the
@@ -165,81 +163,45 @@ def _cleanup(rho, what):
     return rho / np.trace(rho).real
 
 
-class Propagator:
-    """A register propagator in the block form the step channel uses.
+def propagator_blocks(u):
+    """Lay out a verified register propagator in the block form the step uses.
 
-    Holds the network blocks U_ja = <j|U|a> of U (ancilla in slot 0) and
-    their adjoints, each flattened and grouped by ancilla output j. The
-    constructor trusts its input to be unitary; Propagator.checked verifies
-    a raw matrix first. kraus() keeps the Kraus operators of the last
-    ancilla it saw, so an ancilla that never changes is factorized once.
+    Returns (blocks, adjoints), each of shape (2, 2, d*d): entry (j, a) of
+    blocks holds U_ja = <j|U|a> (ancilla in slot 0) flattened, and of
+    adjoints U_ja^dagger.
     """
-
-    def __init__(self, u):
-        d = u.shape[0] // 2
-        blocks = u.reshape(2, d, 2, d)
-        self.dim = d
-        self._blocks = np.ascontiguousarray(
-            blocks.transpose(0, 2, 1, 3)
-        ).reshape(2, 2, d * d)
-        self._adjoints = np.ascontiguousarray(
-            blocks.conj().transpose(0, 2, 3, 1)
-        ).reshape(2, 2, d * d)
-        self._key = None
-        self._kraus = None
-
-    @classmethod
-    def checked(cls, u):
-        """Wrap a raw register matrix after checking its shape and unitarity."""
-        u = np.asarray(u, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
-            raise ValueError(f"propagator shape {u.shape} is not a register operator")
-        num_qubits_of(u.shape[0], "propagator")
-        if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > ATOL_UNITARY:
-            raise ValueError("propagator is not unitary within tolerance")
-        return cls(u)
-
-    def kraus(self, anc):
-        """Kraus operators of the step channel for ancilla input anc.
-
-        Returns (stack, adjoint), each of shape (2, m, d*d): entry (j, m)
-        of stack holds K_jm flattened, and of adjoint K_jm^dagger.
-        """
-        key = anc.tobytes()
-        if key != self._key:
-            if not np.all(np.isfinite(anc)):
-                raise NumericalError("ancilla state contains non-finite entries")
-            # Weights come ascending and sum to one, so only the first can
-            # be roundoff on a pure state.
-            w, v = np.linalg.eigh(anc)
-            first = 0 if w[0] > _WEIGHT_FLOOR else 1
-            amps = (v[:, first:] * np.sqrt(w[first:])).T
-            self._kraus = amps @ self._blocks, amps.conj() @ self._adjoints
-            self._key = key
-        return self._kraus
+    d = u.shape[0] // 2
+    blocks = u.reshape(2, d, 2, d)
+    return (
+        np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape(2, 2, d * d),
+        np.ascontiguousarray(blocks.conj().transpose(0, 2, 3, 1)).reshape(2, 2, d * d),
+    )
 
 
-def collision_step(net, anc, u):
+def kraus_operators(blocks, anc):
+    """Kraus operators of the step channel for ancilla input anc.
+
+    blocks is the output of propagator_blocks. Returns (stack, adjoint),
+    each of shape (2, m, d*d): entry (j, m) of stack holds K_jm flattened,
+    and of adjoint K_jm^dagger.
+    """
+    # Weights come ascending and sum to one, so only the first can be
+    # roundoff on a pure state.
+    w, v = np.linalg.eigh(anc)
+    first = 0 if w[0] > _WEIGHT_FLOOR else 1
+    amps = (v[:, first:] * np.sqrt(w[first:])).T
+    return amps @ blocks[0], amps.conj() @ blocks[1]
+
+
+def collision_step(net, kraus):
     """One collision as a channel on the network, in operator-sum form.
 
-    u is a Propagator or a raw register matrix, which is checked for
-    shape and unitarity on every call. Returns the post-step (network,
-    ancilla) marginals, cleaned up to exact hermiticity and unit trace.
+    kraus is the (stack, adjoint) pair from kraus_operators for the
+    incoming ancilla. Returns the post-step (network, ancilla) marginals,
+    cleaned up to exact hermiticity and unit trace.
     """
-    net = np.asarray(net, dtype=complex)
-    anc = np.asarray(anc, dtype=complex)
-    n_net = num_qubits_of(net.shape[0], "network state")
-    if anc.shape != (2, 2):
-        raise ValueError(f"ancilla state must be one qubit, got shape {anc.shape}")
-    if not isinstance(u, Propagator):
-        u = Propagator.checked(u)
+    stack, adjoint = kraus
     d = net.shape[0]
-    if u.dim != d:
-        raise ValueError(
-            f"propagator for a {2 * u.dim}-dimensional register does not match "
-            f"1 + {n_net} qubits"
-        )
-    stack, adjoint = u.kraus(anc)
     count = stack.shape[0] * stack.shape[1]
     # K rho for every Kraus operator in one product, then
     # sum_i (K_i rho) K_i^dagger = hstack(K rho) @ vstack(K^dagger).
@@ -258,20 +220,27 @@ def collision_step(net, anc, u):
 def run_protocol(config):
     """Iterate collision_step for config.steps steps.
 
-    The propagator is built, and its unitarity verified, once per run.
-    The trajectory arrays are allocated up front and each step's output
-    is written into its slot; slot 0 holds copies of the initial states.
+    The initial states are validated and the propagator is built, its
+    unitarity verified, once per run; the steps trust both. Kraus
+    operators are built once per distinct ancilla input: once per run in
+    collision mode, and in repeated mode again only when the carried
+    ancilla differs from the previous input. The trajectory arrays are
+    allocated up front and each step's output is written into its slot;
+    slot 0 holds copies of the initial states.
     """
     n_net = config.spec.topology.n
     anc0 = _as_density(config.ancilla_init, 1, "ancilla state")
     net0 = _as_density(config.network_init, n_net, "network state")
-    u = Propagator(build_propagator(config.spec, config.dt))
+    blocks = propagator_blocks(build_propagator(config.spec, config.dt))
     network = np.empty((config.steps + 1,) + net0.shape, dtype=complex)
     ancilla = np.empty((config.steps + 1, 2, 2), dtype=complex)
     network[0], ancilla[0] = net0, anc0
+    carry = config.mode is ProtocolMode.REPEATED_INTERACTION
     anc_in = anc0
+    kraus = kraus_operators(blocks, anc_in)
     for n in range(1, config.steps + 1):
-        network[n], ancilla[n] = collision_step(network[n - 1], anc_in, u)
-        if config.mode is not ProtocolMode.COLLISION:
+        network[n], ancilla[n] = collision_step(network[n - 1], kraus)
+        if carry and n < config.steps and not np.array_equal(ancilla[n], anc_in):
             anc_in = ancilla[n]
+            kraus = kraus_operators(blocks, anc_in)
     return Trajectory(config, network, ancilla)

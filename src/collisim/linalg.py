@@ -127,7 +127,8 @@ def check_pure_state(vec, what="state vector"):
         raise ValueError(f"{what} must be a vector, got shape {vec.shape}")
     n = num_qubits_of(vec.shape[0], what)
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > ATOL_STATE:
+    # Written so that a NaN norm fails too: every comparison with NaN is False.
+    if not abs(norm - 1.0) <= ATOL_STATE:
         raise ValueError(f"{what} has norm {norm!r}, expected 1")
     return n
 
@@ -140,7 +141,7 @@ def check_density_matrix(rho, what="density matrix"):
     rho = _as_square(rho, what)
     n = num_qubits_of(rho.shape[0], what)
     tr = np.trace(rho)
-    if abs(tr - 1.0) > ATOL_STATE:
+    if not abs(tr - 1.0) <= ATOL_STATE:
         raise ValueError(f"{what} has trace {tr!r}, expected 1")
     if not is_hermitian(rho):
         raise ValueError(f"{what} is not Hermitian within {ATOL_STATE}")

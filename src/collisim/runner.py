@@ -10,8 +10,10 @@ report.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -181,13 +183,29 @@ def _parse_coupling(value, key):
         ) from None
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _parse_topology(value):
-    if isinstance(value, str):
-        return preset_topology(value)
-    if isinstance(value, (list, tuple)):
-        rows = np.array(value)
-        return Topology(len(value), rows)
-    raise ValueError(f"topology must be a preset name or adjacency rows, got {value!r}")
+    """A preset name, or square adjacency rows of integer 0/1 entries."""
+    try:
+        if isinstance(value, str):
+            return preset_topology(value)
+        n = len(value) if isinstance(value, (list, tuple)) else 0
+        if n and all(
+            isinstance(row, (list, tuple))
+            and len(row) == n
+            and all(_is_integer(entry) and entry in (0, 1) for entry in row)
+            for row in value
+        ):
+            return Topology(n, np.array(value, dtype=int))
+    except ValueError as exc:
+        raise ValueError(f"config key topology: {exc}") from None
+    raise ValueError(
+        "config key topology must be a preset name or square rows of 0/1 "
+        f"integers, got {value!r}"
+    )
 
 
 def _parse_qubit(value, key):
@@ -196,7 +214,7 @@ def _parse_qubit(value, key):
         text = value.strip().upper()
         if len(text) == 1 and "A" <= text <= "Z":
             return ord(text) - ord("A")
-    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    elif _is_integer(value):
         return int(value)
     raise ValueError(f"config key {key}: {value!r} is not a qubit letter or index")
 
@@ -205,10 +223,14 @@ def _parse_ket(value, key):
     if isinstance(value, str) and value in _KETS:
         return _KETS[value].copy()
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return np.array([complex(a) for a in value])
-        except (TypeError, ValueError):
-            raise ValueError(f"config key {key}: amplitudes must be numbers") from None
+        if not all(
+            isinstance(a, numbers.Number) and not isinstance(a, bool) and cmath.isfinite(a)
+            for a in value
+        ):
+            raise ValueError(
+                f"config key {key} must be a pair of finite numbers, got {value!r}"
+            )
+        return np.array([complex(a) for a in value])
     raise ValueError(
         f'config key {key} must be "0", "1", "+", "+i", or an amplitude pair'
     )

@@ -6,13 +6,16 @@ marginals, conjugate the joint state by the full register propagator,
 trace each side back out, then hermitize and renormalize. It costs three
 register-sized products per step.
 
+step_kraus feeds collision_step from a raw register matrix, as the tests
+that step by hand need.
+
 spin_flip and eigvals_general give concurrence's textbook eigenvalue
 route, which cross-checks the library's singular-value form.
 """
 
 import numpy as np
 
-from collisim.dynamics import ProtocolMode
+from collisim.dynamics import ProtocolMode, kraus_operators, propagator_blocks
 from collisim.linalg import SIGMA_Y, NumericalError, num_qubits_of, partial_trace
 from collisim.network import build_propagator
 
@@ -36,6 +39,11 @@ def eigvals_general(m):
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def step_kraus(u, anc):
+    """collision_step's Kraus pair for register matrix u and ancilla state anc."""
+    return kraus_operators(propagator_blocks(np.asarray(u, dtype=complex)), anc)
 
 
 def _hermitize(rho):

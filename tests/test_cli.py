@@ -22,6 +22,10 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+TOPOLOGY_ROWS = "must be a preset name or square rows of 0/1 integers"
+AMPLITUDES = "must be a pair of finite numbers"
+
+
 class TestExitCodes:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
@@ -55,10 +59,19 @@ class TestExitCodes:
             ("csv_path", True, "must be a file path"),
             ("csv_path", 2, "must be a file path"),
             ("report_path", 1, "must be a file path"),
+            ("topology", [[0, 1.5, 0], [1.5, 0, 1], [0, 1, 0]], TOPOLOGY_ROWS),
+            ("topology", [[0, True, 0], [True, 0, 1], [0, 1, 0]], TOPOLOGY_ROWS),
+            ("topology", [["a", "b", "c"]] * 3, TOPOLOGY_ROWS),
+            ("topology", [[0, 1], [1, 0, 1], [0, 1, 0]], TOPOLOGY_ROWS),
+            ("ancilla_init", [True, False], AMPLITUDES),
+            ("ancilla_init", ["1", 0], AMPLITUDES),
+            ("ancilla_init", [float("nan"), 0], AMPLITUDES),
         ],
         ids=[
             "steps-1", "steps-true", "omega-nan", "omega0-inf", "dt-inf",
             "peak_min_height-nan", "csv_path-true", "csv_path-2", "report_path-1",
+            "topology-1.5", "topology-true", "topology-letters", "topology-ragged",
+            "ancilla_init-true", "ancilla_init-string", "ancilla_init-nan",
         ],
     )
     def test_bad_values_fail_at_load(self, tmp_path, capsys, key, value, message):

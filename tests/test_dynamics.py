@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collisim.dynamics as dynamics_module
 from collisim.dynamics import (
     MAX_RUN_BYTES,
-    Propagator,
     ProtocolConfig,
     ProtocolMode,
     collision_step,
+    kraus_operators,
+    propagator_blocks,
     run_protocol,
 )
 from collisim.linalg import (
@@ -31,7 +33,7 @@ from collisim.network import (
     preset_topology,
 )
 from collisim.runner import PRESETS, ExperimentConfig, build_protocol, preset
-from reference import reference_step, reference_trajectory
+from reference import reference_step, reference_trajectory, step_kraus
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 KET_ZERO = np.array([1.0, 0.0])
@@ -74,7 +76,7 @@ class TestCollisionStep:
     def test_identity_leaves_states_alone(self):
         net = density_from_pure(basis_ket(3))
         anc = density_from_pure(KET_PLUS)
-        net_out, anc_out = collision_step(net, anc, np.eye(16, dtype=complex))
+        net_out, anc_out = collision_step(net, step_kraus(np.eye(16), anc))
         assert np.max(np.abs(net_out - net)) < 1e-14
         assert np.max(np.abs(anc_out - anc)) < 1e-14
 
@@ -87,7 +89,7 @@ class TestCollisionStep:
         u = build_propagator(spec, 0.4)
         net = density_from_pure(basis_ket(3))
         anc = density_from_pure(KET_ONE)
-        net_out, anc_out = collision_step(net, anc, u)
+        net_out, anc_out = collision_step(net, step_kraus(u, anc))
         assert np.max(np.abs(net_out - net)) < 1e-12
         assert np.max(np.abs(anc_out - anc)) < 1e-12
 
@@ -106,28 +108,16 @@ class TestCollisionStep:
                 [np.trace(evolved[8:, :8]), np.trace(evolved[8:, 8:])],
             ]
         )
-        net_out, anc_out = collision_step(net, anc, u)
+        net_out, anc_out = collision_step(net, step_kraus(u, anc))
         assert np.max(np.abs(net_out - want_net)) < 1e-10
         assert np.max(np.abs(anc_out - want_anc)) < 1e-10
-
-    def test_rejects_non_unitary(self):
-        net = density_from_pure(basis_ket(3))
-        anc = density_from_pure(KET_PLUS)
-        with pytest.raises(ValueError):
-            collision_step(net, anc, np.eye(16) * 0.5)
-
-    def test_rejects_mismatched_dimensions(self):
-        net = density_from_pure(basis_ket(2))
-        anc = density_from_pure(KET_PLUS)
-        with pytest.raises(ValueError):
-            collision_step(net, anc, np.eye(16, dtype=complex))
 
     def test_rejects_non_finite_input(self):
         net = density_from_pure(basis_ket(3))
         net[0, 0] = np.nan
         anc = density_from_pure(KET_PLUS)
         with pytest.raises(NumericalError):
-            collision_step(net, anc, np.eye(16, dtype=complex))
+            collision_step(net, step_kraus(np.eye(16), anc))
 
 
 class TestRunProtocol:
@@ -202,11 +192,12 @@ class TestRunProtocol:
         for mode in ProtocolMode:
             cfg = make_config(mode=mode, steps=40)
             traj = run_protocol(cfg)
-            u = build_propagator(cfg.spec, cfg.dt)
+            blocks = propagator_blocks(build_propagator(cfg.spec, cfg.dt))
             anc0 = traj.ancilla[0]
             for n in range(1, cfg.steps + 1):
                 anc_in = anc0 if mode is ProtocolMode.COLLISION else traj.ancilla[n - 1]
-                net, anc = collision_step(traj.network[n - 1], anc_in, u)
+                kraus = kraus_operators(blocks, anc_in)
+                net, anc = collision_step(traj.network[n - 1], kraus)
                 assert np.array_equal(net, traj.network[n])
                 assert np.array_equal(anc, traj.ancilla[n])
 
@@ -323,9 +314,10 @@ def random_ancilla(rng, minor):
     return (basis * np.array([1.0 - minor, minor])) @ basis.conj().T
 
 
-def kraus_operators(prop, anc):
-    stack, adjoint = prop.kraus(anc)
-    d = prop.dim
+def kraus_matrices(u, anc):
+    """The Kraus operators and their adjoints as (m, d, d) stacks."""
+    stack, adjoint = step_kraus(u, anc)
+    d = u.shape[0] // 2
     return stack.reshape(-1, d, d), adjoint.reshape(-1, d, d)
 
 
@@ -342,12 +334,12 @@ class TestKrausChannel:
     @given(seed=st.integers(0, 2**32 - 1), n_net=st.integers(1, 3), minor=MINOR_WEIGHTS)
     def test_completeness(self, seed, n_net, minor):
         rng = np.random.default_rng(seed)
-        prop = Propagator(random_unitary(rng, 2 ** (n_net + 1)))
+        u = random_unitary(rng, 2 ** (n_net + 1))
         anc = random_ancilla(rng, minor)
-        ops, adjoints = kraus_operators(prop, anc)
+        ops, adjoints = kraus_matrices(u, anc)
         assert len(ops) == (2 if minor == 0.0 else 4)
         total = sum(k.conj().T @ k for k in ops)
-        assert np.max(np.abs(total - np.eye(prop.dim))) <= 1e-12
+        assert np.max(np.abs(total - np.eye(2**n_net))) <= 1e-12
         assert np.array_equal(adjoints, ops.conj().transpose(0, 2, 1))
 
     @settings(max_examples=60, deadline=None)
@@ -357,7 +349,7 @@ class TestKrausChannel:
         u = random_unitary(rng, 2 ** (n_net + 1))
         anc = random_ancilla(rng, minor)
         net = random_density(rng, 2**n_net)
-        got = collision_step(net, anc, u)
+        got = collision_step(net, step_kraus(u, anc))
         want = reference_step(net, anc, u)
         for rho, ref in zip(got, want):
             assert np.max(np.abs(rho - rho.conj().T)) == 0.0
@@ -366,40 +358,57 @@ class TestKrausChannel:
             assert np.max(np.abs(rho - ref)) <= 1e-12
 
     def test_pure_ancilla_uses_two_operators(self):
-        prop = Propagator(build_propagator(make_spec(), 0.4))
+        u = build_propagator(make_spec(), 0.4)
         for ket in (KET_ZERO, KET_ONE, KET_PLUS):
-            ops, _ = kraus_operators(prop, density_from_pure(ket))
+            ops, _ = kraus_matrices(u, density_from_pure(ket))
             assert len(ops) == 2
 
-    def test_unchanged_ancilla_is_factorized_once(self):
-        prop = Propagator(build_propagator(make_spec(), 0.4))
-        anc = density_from_pure(KET_PLUS)
-        first = prop.kraus(anc)
-        assert prop.kraus(anc.copy()) is first
-        assert prop.kraus(IDENTITY_2 / 2.0) is not first
+    def test_unchanged_ancilla_is_factorized_once(self, monkeypatch):
+        # Kraus operators are built once per distinct ancilla input, and
+        # never for a step that does not run, so the last build is the last
+        # step's input. fig5's carried ancilla stays put on every step whose
+        # output is fed on; fig6's moves every step.
+        builds = []
 
-    def test_run_trusts_the_built_propagator(self, monkeypatch):
-        # build_propagator has verified unitarity; the loop must not re-check
-        # it, neither per run nor per step.
-        def fail(u):
-            raise AssertionError("propagator re-checked")
+        def counted(blocks, anc):
+            builds.append(anc.copy())
+            return kraus_operators(blocks, anc)
 
-        monkeypatch.setattr(Propagator, "checked", staticmethod(fail))
-        traj = run_protocol(make_config(steps=5))
-        assert len(traj.network) == 6
+        monkeypatch.setattr(dynamics_module, "kraus_operators", counted)
+        for name, mode, want in (
+            ("fig5", "collision", 1),
+            ("fig5", "repeated", 1),
+            ("fig6", "repeated", 220),
+        ):
+            builds.clear()
+            cfg = dataclasses.replace(preset(name), mode=mode)
+            protocol = build_protocol(cfg)[0]
+            traj = run_protocol(protocol)
+            assert len(builds) == want, (name, mode)
+            if mode == "repeated":
+                assert all(
+                    not np.array_equal(a, b) for a, b in zip(builds, builds[1:])
+                )
+                assert np.array_equal(builds[-1], traj.ancilla[protocol.steps - 1])
 
-    def test_rejects_non_finite_ancilla(self):
-        net = density_from_pure(basis_ket(3))
+    # The channel trusts its ancilla input: run_protocol rejects a bad one
+    # at entry, before the propagator is built or any step runs.
+
+    def test_rejects_non_finite_ancilla(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built a propagator for a rejected run")
+
+        monkeypatch.setattr(dynamics_module, "build_propagator", fail)
         anc = density_from_pure(KET_PLUS)
         anc[0, 1] = np.inf
-        with pytest.raises(NumericalError):
-            collision_step(net, anc, np.eye(16, dtype=complex))
+        for bad in (np.array([np.nan, 0.0]), np.array([1.0, np.inf]), anc):
+            with pytest.raises(ValueError, match="ancilla state"):
+                run_protocol(make_config(ancilla_init=bad))
 
     def test_rejects_multi_qubit_ancilla(self):
-        net = density_from_pure(basis_ket(2))
-        anc = np.eye(4, dtype=complex) / 4.0
-        with pytest.raises(ValueError):
-            collision_step(net, anc, np.eye(16, dtype=complex))
+        for bad in (np.eye(4, dtype=complex) / 4.0, basis_ket(2)):
+            with pytest.raises(ValueError, match="ancilla state has 2 qubits"):
+                run_protocol(make_config(ancilla_init=bad))
 
 
 class TestModesAgreeForConservingCouplings:

@@ -294,6 +294,16 @@ class TestStateChecks:
         with pytest.raises(ValueError):
             check_density_matrix(np.eye(2))
 
+    def test_rejects_non_finite_entries(self):
+        # A NaN norm or trace compares False with everything, so the
+        # checks must not be written as "defect > tolerance".
+        for ket in ([np.nan, 0.0], [1.0, np.inf], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="norm"):
+                check_pure_state(np.array(ket))
+        for diagonal in ([np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="trace"):
+                check_density_matrix(np.diag(diagonal))
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValueError):

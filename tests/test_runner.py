@@ -258,6 +258,19 @@ class TestBuildProtocol:
         assert isinstance(rows[0].error, ValueError)
         assert "steps=80 on 12 network qubits" in str(rows[0].error)
 
+    def test_topology_errors_name_the_key(self):
+        for bad in (
+            "ring3",
+            [[0, 1, 1], [0, 0, 1], [1, 1, 0]],
+            [[1, 1, 0], [1, 0, 1], [0, 1, 0]],
+            [[0, 1.0, 0], [1.0, 0, 1], [0, 1, 0]],
+            [[0, 2, 0], [2, 0, 1], [0, 1, 0]],
+            [],
+            3,
+        ):
+            with pytest.raises(ValueError, match="config key topology"):
+                build_protocol(small_config(topology=bad))
+
     def test_custom_adjacency(self):
         ring4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
         cfg = small_config(topology=ring4, target="D", steps=5, network_init="0000")
