@@ -20,14 +20,19 @@ repair aborts the run.
 The two protocol modes differ only in what is fed to the next step:
 Collision resets the ancilla to its initial state, so its Kraus operators
 are built once per run, while RepeatedInteraction carries the post-step
-ancilla marginal forward. run_protocol makes that choice and checks its
+ancilla marginal forward. The run loop makes that choice and checks its
 inputs once, at entry; U's unitarity is verified by build_propagator, and
 collision_step itself checks nothing but its outputs.
 
-run_protocol stores a run as one Trajectory: a (steps + 1, d, d) array of
-network states and a (steps + 1, 2, 2) array of ancilla states, allocated
-before the first step and filled in place. Their size is bounded by
-MAX_RUN_BYTES, which ProtocolConfig checks before anything is allocated.
+collision_step takes stacks, (..., d, d) networks with (..., 2, m, d*d)
+Kraus operators, and treats each state as it would alone. run_protocols
+uses that to step P runs of one size together, one call per step for all
+of them, as sweep and reproduce do; run_protocol is its case P = 1. Each
+run is stored as one Trajectory: a (steps + 1, d, d) array of network
+states and a (steps + 1, 2, 2) array of ancilla states, allocated before
+the first step and filled in place. One run's size is bounded by
+MAX_RUN_BYTES, which ProtocolConfig checks before anything is allocated;
+sweep keeps its stacks within MAX_STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .linalg import (
     check_density_matrix,
     check_pure_state,
     density_from_pure,
+    first_flagged,
 )
 
 # bench/spans.py wraps partial_trace where this module looks it up, so the
@@ -63,6 +69,11 @@ _WEIGHT_FLOOR = 1e-14
 # plus the register propagator, at 16 B per complex entry.
 MAX_RUN_BYTES = 2 * 2**30
 
+# Largest stack of network trajectories that sweep steps together. About a
+# dozen n = 3 runs fill it, which already saves most of the per-call
+# overhead a stack can save; a larger stack only costs memory.
+MAX_STACK_BYTES = 2**20
+
 
 def check_run_size(num_qubits, steps):
     """Reject a run whose dense storage would exceed MAX_RUN_BYTES.
@@ -77,6 +88,12 @@ def check_run_size(num_qubits, steps):
             f"{need / 2**30:.3g} GiB of dense storage, above the "
             f"{MAX_RUN_BYTES / 2**30:g} GiB limit; use fewer steps or qubits"
         )
+
+
+def runs_per_stack(protocol):
+    """How many runs of this one's size fit in MAX_STACK_BYTES; at least one."""
+    per_run = (protocol.steps + 1) * 4**protocol.spec.topology.n * 16
+    return max(1, MAX_STACK_BYTES // per_run)
 
 
 class ProtocolMode(Enum):
@@ -148,19 +165,39 @@ def _as_density(state, expected_qubits, what):
 
 
 def _cleanup(rho, what):
-    """Hermitize and renormalize, aborting on more than roundoff damage."""
-    if not np.all(np.isfinite(rho)):
-        raise NumericalError(f"{what} contains non-finite entries")
-    adjoint = rho.conj().T
-    herm_defect = float(np.max(np.abs(rho - adjoint))) / 2.0
-    trace_defect = abs(float(np.trace(rho).real) - 1.0)
-    if herm_defect > MAX_STEP_CORRECTION or trace_defect > MAX_STEP_CORRECTION:
-        raise NumericalError(
-            f"{what} needs correction beyond budget: hermiticity {herm_defect}, "
-            f"trace {trace_defect}"
-        )
-    rho = 0.5 * (rho + adjoint)
-    return rho / np.trace(rho).real
+    """Hermitize and renormalize each state of a (..., d, d) stack.
+
+    A state that needs more than roundoff repair aborts the run. One test
+    also catches a non-finite entry, which makes a defect NaN or inf. The
+    reductions run over each state flattened, which is cheaper than over
+    a tuple of axes.
+    """
+    adjoint = rho.conj().swapaxes(-1, -2)
+    herm_defect = np.abs(rho - adjoint).reshape(rho.shape[:-2] + (-1,)).max(axis=-1) / 2.0
+    # Hermitizing keeps the real part of every diagonal entry exactly, so
+    # this trace also renormalizes the hermitized state.
+    trace = rho.trace(axis1=-2, axis2=-1).real
+    trace_defect = np.abs(trace - 1.0)
+    if not (np.maximum(herm_defect, trace_defect) <= MAX_STEP_CORRECTION).all():
+        _reject(rho, herm_defect, trace_defect, what)
+    rho = rho + adjoint
+    rho *= 0.5
+    rho /= trace[..., None, None]
+    return rho
+
+
+def _reject(rho, herm_defect, trace_defect, what):
+    """Raise _cleanup's NumericalError, naming the first bad state of a stack."""
+    finite = np.isfinite(rho.reshape(rho.shape[:-2] + (-1,))).all(axis=-1)
+    if not finite.all():
+        where, _ = first_flagged(~finite, finite)
+        raise NumericalError(f"{what} contains non-finite entries{where}")
+    over = np.maximum(herm_defect, trace_defect) > MAX_STEP_CORRECTION
+    where, herm = first_flagged(over, herm_defect)
+    _, trace = first_flagged(over, trace_defect)
+    raise NumericalError(
+        f"{what} needs correction beyond budget: hermiticity {herm}, trace {trace}{where}"
+    )
 
 
 def propagator_blocks(u):
@@ -193,54 +230,102 @@ def kraus_operators(blocks, anc):
     return amps @ blocks[0], amps.conj() @ blocks[1]
 
 
+def _stack_kraus(ops):
+    """Per-point Kraus pairs stacked on a leading axis, shape (P, 2, m, d*d).
+
+    Points with fewer operators than the largest m are padded with zero
+    operators. From two network qubits up, that leaves every state's step
+    unchanged to the last bit; on a one-qubit network BLAS groups the
+    padded sums differently, which moves results by roundoff.
+    """
+    if len(ops) == 1:
+        # Nothing to pad. Copying the operators on every rebuild made a
+        # carried 7-qubit run about 30% slower.
+        stack, adjoint = ops[0]
+        return stack[None], adjoint[None]
+    m = max(stack.shape[1] for stack, _ in ops)
+    out = np.zeros((2, len(ops), 2, m, ops[0][0].shape[-1]), dtype=complex)
+    for p, (stack, adjoint) in enumerate(ops):
+        out[0, p, :, : stack.shape[1]] = stack
+        out[1, p, :, : stack.shape[1]] = adjoint
+    return out[0], out[1]
+
+
 def collision_step(net, kraus):
     """One collision as a channel on the network, in operator-sum form.
 
-    kraus is the (stack, adjoint) pair from kraus_operators for the
-    incoming ancilla. Returns the post-step (network, ancilla) marginals,
+    net is one (d, d) state or a stack of them, (..., d, d). kraus is the
+    (stack, adjoint) pair from kraus_operators for the incoming ancilla,
+    with the same leading axes: (..., 2, m, d*d). Returns the post-step
+    (network, ancilla) marginals, (..., d, d) and (..., 2, 2), each state
     cleaned up to exact hermiticity and unit trace.
     """
     stack, adjoint = kraus
-    d = net.shape[0]
-    count = stack.shape[0] * stack.shape[1]
+    d = net.shape[-1]
+    lead = net.shape[:-2]
+    count = stack.shape[-3] * stack.shape[-2]
     # K rho for every Kraus operator in one product, then
     # sum_i (K_i rho) K_i^dagger = hstack(K rho) @ vstack(K^dagger).
-    applied = stack.reshape(-1, d) @ net
-    side = applied.reshape(count, d, d).transpose(1, 0, 2).reshape(d, count * d)
-    net_out = side @ adjoint.reshape(-1, d)
-    # anc'_jk = sum_m tr(K_jm rho K_km^dagger); vdot conjugates its first argument.
-    applied = applied.reshape(2, -1)
-    stack = stack.reshape(2, -1)
-    anc_out = np.array(
-        [[np.vdot(stack[k], applied[j]) for k in range(2)] for j in range(2)]
-    )
+    applied = stack.reshape(lead + (count * d, d)) @ net
+    side = applied.reshape(lead + (count, d, d)).swapaxes(-3, -2)
+    net_out = side.reshape(lead + (d, count * d)) @ adjoint.reshape(lead + (count * d, d))
+    # anc'_jk = sum_m tr(K_jm rho K_km^dagger); vecdot conjugates its first
+    # argument and sums in the order vdot does, so one state's ancilla is
+    # the same to the last bit whether or not it is stepped in a stack.
+    applied = applied.reshape(lead + (2, 1, -1))
+    stack = stack.reshape(lead + (1, 2, -1))
+    anc_out = np.vecdot(stack, applied)
     return _cleanup(net_out, "network state"), _cleanup(anc_out, "ancilla state")
 
 
-def run_protocol(config):
-    """Iterate collision_step for config.steps steps.
+def run_protocols(configs):
+    """Step several runs together; returns one Trajectory per config.
 
-    The initial states are validated and the propagator is built, its
-    unitarity verified, once per run; the steps trust both. Kraus
-    operators are built once per distinct ancilla input: once per run in
-    collision mode, and in repeated mode again only when the carried
-    ancilla differs from the previous input. The trajectory arrays are
-    allocated up front and each step's output is written into its slot;
-    slot 0 holds copies of the initial states.
+    The configs must share the network size and the step count, as the
+    points of a sweep over omega or dt do; their couplings, dt, modes and
+    initial states may differ. Each step is one collision_step call on
+    the (P, d, d) stack of network states. For each run the initial
+    states are validated and the propagator is built, its unitarity
+    verified, once; the steps trust both. Kraus operators are built once
+    per distinct ancilla input of a run: once in collision mode, and in
+    repeated mode again only when its carried ancilla differs from its
+    previous input. The (P, steps + 1, d, d) and (P, steps + 1, 2, 2)
+    trajectory arrays are allocated up front and each step's output is
+    written into its slot; slot 0 holds copies of the initial states.
     """
-    n_net = config.spec.topology.n
-    anc0 = _as_density(config.ancilla_init, 1, "ancilla state")
-    net0 = _as_density(config.network_init, n_net, "network state")
-    blocks = propagator_blocks(build_propagator(config.spec, config.dt))
-    network = np.empty((config.steps + 1,) + net0.shape, dtype=complex)
-    ancilla = np.empty((config.steps + 1, 2, 2), dtype=complex)
-    network[0], ancilla[0] = net0, anc0
-    carry = config.mode is ProtocolMode.REPEATED_INTERACTION
-    anc_in = anc0
-    kraus = kraus_operators(blocks, anc_in)
-    for n in range(1, config.steps + 1):
-        network[n], ancilla[n] = collision_step(network[n - 1], kraus)
-        if carry and n < config.steps and not np.array_equal(ancilla[n], anc_in):
-            anc_in = ancilla[n]
-            kraus = kraus_operators(blocks, anc_in)
-    return Trajectory(config, network, ancilla)
+    steps, n_net = configs[0].steps, configs[0].spec.topology.n
+    for config in configs:
+        if config.steps != steps or config.spec.topology.n != n_net:
+            raise ValueError(
+                "stepped runs must share steps and network size, got "
+                f"{config.steps} steps on {config.spec.topology.n} qubits "
+                f"beside {steps} on {n_net}"
+            )
+    anc_in = np.array([_as_density(c.ancilla_init, 1, "ancilla state") for c in configs])
+    net0 = np.array([_as_density(c.network_init, n_net, "network state") for c in configs])
+    blocks = [propagator_blocks(build_propagator(c.spec, c.dt)) for c in configs]
+    network = np.empty((len(configs), steps + 1) + net0.shape[1:], dtype=complex)
+    ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
+    network[:, 0], ancilla[:, 0] = net0, anc_in
+    carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])
+    any_carry = carry.any()
+    ops = [kraus_operators(b, a) for b, a in zip(blocks, anc_in)]
+    kraus = _stack_kraus(ops)
+    for n in range(1, steps + 1):
+        network[:, n], ancilla[:, n] = collision_step(network[:, n - 1], kraus)
+        if n == steps or not any_carry:
+            continue
+        moved = carry & (ancilla[:, n] != anc_in).reshape(len(configs), 4).any(axis=1)
+        if moved.any():
+            for p in np.flatnonzero(moved):
+                anc_in[p] = ancilla[p, n]
+                ops[p] = kraus_operators(blocks[p], anc_in[p])
+            kraus = _stack_kraus(ops)
+    return [
+        Trajectory(config, network[p], ancilla[p]) for p, config in enumerate(configs)
+    ]
+
+
+def run_protocol(config):
+    """Iterate collision_step for config.steps steps: run_protocols for one run."""
+    return run_protocols([config])[0]

@@ -31,6 +31,19 @@ class NumericalError(RuntimeError):
     """A computation left the numerically trustworthy regime."""
 
 
+def first_flagged(flags, values):
+    """(location text, value) for the first flagged state of a stack.
+
+    The text is empty for a single state and names the stack index
+    otherwise, so a failing state in a trajectory can be found.
+    """
+    if flags.ndim == 0:
+        return "", float(values)
+    index = tuple(int(i) for i in np.argwhere(flags)[0])
+    where = index[0] if len(index) == 1 else index
+    return f" (stack index {where})", float(values[index])
+
+
 def _as_square(m, what="matrix"):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -129,7 +142,7 @@ def check_pure_state(vec, what="state vector"):
     norm = np.linalg.norm(vec)
     # Written so that a NaN norm fails too: every comparison with NaN is False.
     if not abs(norm - 1.0) <= ATOL_STATE:
-        raise ValueError(f"{what} has norm {norm!r}, expected 1")
+        raise ValueError(f"{what} has norm {float(norm)!r}, expected 1")
     return n
 
 

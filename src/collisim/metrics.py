@@ -19,6 +19,7 @@ from .linalg import (
     PSD_SLACK,
     SIGMA_Y,
     NumericalError,
+    first_flagged,
     partial_trace,
 )
 
@@ -28,19 +29,6 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y).real
 # Tie margin when ranking Bell-state fidelities: differences below this
 # are treated as equal and resolved by catalog order.
 FIDELITY_TIE = 1e-9
-
-
-def _first_flagged(flags, values):
-    """(location text, value) for the first flagged state of a stack.
-
-    The text is empty for a single state and names the stack index
-    otherwise, so a failing state in a trajectory can be found.
-    """
-    if flags.ndim == 0:
-        return "", float(values)
-    index = tuple(int(i) for i in np.argwhere(flags)[0])
-    where = index[0] if len(index) == 1 else index
-    return f" (stack index {where})", float(values[index])
 
 
 def concurrence(rho):
@@ -66,12 +54,12 @@ def concurrence(rho):
     lowest = w[..., 0]
     negative = lowest < -PSD_SLACK
     if np.any(negative):
-        where, value = _first_flagged(negative, lowest)
+        where, value = first_flagged(negative, lowest)
         raise NumericalError(f"state eigenvalue {value} below -{PSD_SLACK}{where}")
     traces = w.sum(axis=-1)
     off = np.abs(traces - 1.0) > 1e-8
     if np.any(off):
-        where, value = _first_flagged(off, traces)
+        where, value = first_flagged(off, traces)
         raise ValueError(f"state trace {value} is not 1{where}")
     left = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     mu = np.linalg.svd(left.swapaxes(-1, -2) @ _YY @ left, compute_uv=False)

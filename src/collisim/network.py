@@ -167,6 +167,7 @@ def build_propagator(spec, dt):
     h = np.kron(IDENTITY_2, build_system_hamiltonian(spec))
     u = expm_hermitian(h + build_interaction_hamiltonian(spec), -1j * dt)
     defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if defect > ATOL_UNITARY:
+    # Written so that a NaN defect fails too: every comparison with NaN is False.
+    if not defect <= ATOL_UNITARY:
         raise NumericalError(f"propagator unitarity defect {defect}")
     return u

@@ -21,8 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .dynamics import ProtocolConfig, ProtocolMode, check_run_size, run_protocol
-from .linalg import NumericalError
+from .dynamics import (
+    ProtocolConfig,
+    ProtocolMode,
+    check_run_size,
+    run_protocol,
+    run_protocols,
+    runs_per_stack,
+)
+from .linalg import NumericalError, check_pure_state
 from .metrics import (
     PeakReport,
     all_pairs,
@@ -230,7 +237,9 @@ def _parse_ket(value, key):
             raise ValueError(
                 f"config key {key} must be a pair of finite numbers, got {value!r}"
             )
-        return np.array([complex(a) for a in value])
+        ket = np.array([complex(a) for a in value])
+        check_pure_state(ket, f"config key {key}")
+        return ket
     raise ValueError(
         f'config key {key} must be "0", "1", "+", "+i", or an amplitude pair'
     )
@@ -376,11 +385,9 @@ class ExperimentResult:
     peaks: list
 
 
-def run_experiment(cfg):
-    """Run one configured simulation and analyze its concurrence peaks."""
-    protocol, pairs, min_height = build_protocol(cfg)
-    trajectory = run_protocol(protocol)
-    n = protocol.spec.topology.n
+def _analyze(cfg, trajectory, pairs, min_height):
+    """The concurrence table and peak reports of a finished run."""
+    n = trajectory.config.spec.topology.n
     _, table = pair_concurrences(trajectory, pairs)
     peaks = []
     for col, pair in enumerate(pairs):
@@ -390,6 +397,24 @@ def run_experiment(cfg):
             peaks.append(PeakReport(pair, index, value, label, fid))
     peaks.sort(key=lambda p: (-p.concurrence, p.n, p.pair))
     return ExperimentResult(cfg, trajectory, pairs, table, peaks)
+
+
+def run_experiment(cfg):
+    """Run one configured simulation and analyze its concurrence peaks."""
+    protocol, pairs, min_height = build_protocol(cfg)
+    return _analyze(cfg, run_protocol(protocol), pairs, min_height)
+
+
+def _run_together(points):
+    """Step points (cfg, protocol, pairs, min_height) as one stack; analyze each.
+
+    The points must share the network size and the step count.
+    """
+    trajectories = run_protocols([protocol for _, protocol, _, _ in points])
+    return [
+        _analyze(cfg, trajectory, pairs, min_height)
+        for (cfg, _, pairs, min_height), trajectory in zip(points, trajectories)
+    ]
 
 
 # Exit code and message prefix for each failure the CLI reports; the
@@ -419,29 +444,55 @@ class SweepRow:
     error: Exception
 
 
+def _failed_row(value, exc):
+    # A traceback would keep sweep's frame, and with it a whole stack of
+    # trajectories, alive for as long as the row.
+    return SweepRow(value, {}, exc.with_traceback(None))
+
+
 def sweep(base, param, values):
     """Re-run a base config with `param` (omega or dt) set to each value.
 
-    Rows are returned in the given order. A failing run is recorded in
-    its row and does not abort the remaining runs.
+    Every point is validated first; the valid ones are then stepped
+    together, in stacks of at most dynamics.MAX_STACK_BYTES of network
+    trajectories, and each is analyzed as run_experiment would. Rows are
+    returned in the given order. A failing point is recorded in its row
+    and does not abort the others: a stack that fails is rerun one point
+    at a time, so only the bad point's row fails.
     """
     if param not in ("omega", "dt"):
         raise ValueError(f"sweep parameter must be omega or dt, got {param!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    rows = []
-    for value in values:
+    rows = [None] * len(values)
+    valid = []
+    for index, value in enumerate(values):
         cfg = dataclasses.replace(base, **{param: value})
         try:
-            result = run_experiment(cfg)
+            valid.append((index, (cfg,) + build_protocol(cfg)))
         except _FAILURE_KINDS as exc:
-            rows.append(SweepRow(value, {}, exc))
-            continue
-        top = {}
-        for col, pair in enumerate(result.pairs):
-            found = find_peaks(result.table[:, col], 0.0)
-            top[pair_label(pair)] = found[0] if found else None
-        rows.append(SweepRow(value, top, None))
+            rows[index] = _failed_row(value, exc)
+    size = runs_per_stack(valid[0][1][1]) if valid else 1
+    for start in range(0, len(valid), size):
+        batch = valid[start : start + size]
+        try:
+            results = _run_together([point for _, point in batch])
+        except _FAILURE_KINDS as exc:
+            if len(batch) == 1:
+                rows[batch[0][0]] = _failed_row(values[batch[0][0]], exc)
+                continue
+            results = None
+        for k, (index, point) in enumerate(batch):
+            try:
+                result = results[k] if results else _run_together([point])[0]
+            except _FAILURE_KINDS as exc:
+                rows[index] = _failed_row(values[index], exc)
+                continue
+            top = {}
+            for col, pair in enumerate(result.pairs):
+                found = find_peaks(result.table[:, col], 0.0)
+                top[pair_label(pair)] = found[0] if found else None
+            rows[index] = SweepRow(values[index], top, None)
     return rows
 
 
@@ -485,23 +536,23 @@ _OTHER_MODE = {"collision": "repeated", "repeated": "collision"}
 def reproduce(name, out_dir="."):
     """Run a preset and write <name>.csv and <name>_peaks.txt to out_dir.
 
-    For the presets whose two protocol modes coincide, both are run and
-    the maximum concurrence difference between them is included in the
-    returned summary.
+    For the presets whose two protocol modes coincide, both are run, as
+    one stack, and the maximum concurrence difference between them is
+    included in the returned summary.
     """
     cfg = preset(name)
-    result = run_experiment(cfg)
+    cfgs = [cfg]
+    if name in DUAL_MODE_PRESETS:
+        cfgs.append(dataclasses.replace(cfg, mode=_OTHER_MODE[str(cfg.mode).lower()]))
+    result, *other = _run_together([(c,) + build_protocol(c) for c in cfgs])
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     report_path = os.path.join(out_dir, f"{name}_peaks.txt")
     emit_csv(result, csv_path)
     emit_report(result, report_path)
     mode_delta = None
-    if name in DUAL_MODE_PRESETS:
-        other = run_experiment(
-            dataclasses.replace(cfg, mode=_OTHER_MODE[str(cfg.mode).lower()])
-        )
-        mode_delta = float(np.max(np.abs(result.table - other.table)))
+    if other:
+        mode_delta = float(np.max(np.abs(result.table - other[0].table)))
     return {
         "preset": name,
         "csv": csv_path,

@@ -9,6 +9,7 @@ import yaml
 
 from collisim.linalg import NumericalError
 from collisim.runner import config_to_dict, main, preset
+import collisim.dynamics as dynamics_module
 import collisim.runner as runner_module
 
 
@@ -66,12 +67,14 @@ class TestExitCodes:
             ("ancilla_init", [True, False], AMPLITUDES),
             ("ancilla_init", ["1", 0], AMPLITUDES),
             ("ancilla_init", [float("nan"), 0], AMPLITUDES),
+            ("ancilla_init", [1, 1], "has norm 1.4142135623730951, expected 1"),
         ],
         ids=[
             "steps-1", "steps-true", "omega-nan", "omega0-inf", "dt-inf",
             "peak_min_height-nan", "csv_path-true", "csv_path-2", "report_path-1",
             "topology-1.5", "topology-true", "topology-letters", "topology-ragged",
             "ancilla_init-true", "ancilla_init-string", "ancilla_init-nan",
+            "ancilla_init-unnormalized",
         ],
     )
     def test_bad_values_fail_at_load(self, tmp_path, capsys, key, value, message):
@@ -178,14 +181,16 @@ class TestSweepCommand:
         assert "dt=-1: error:" in out
 
     def test_exit_code_follows_the_first_failing_row(self, monkeypatch, capsys):
-        run_experiment = runner_module.run_experiment
+        # The fault hits the omega=7 point inside the stack sweep steps, so
+        # the stack is rerun point by point and only that row fails.
+        build_propagator = dynamics_module.build_propagator
 
-        def flaky(cfg):
-            if cfg.omega == 7.0:
+        def flaky(spec, dt):
+            if spec.omega == 7.0:
                 raise NumericalError("step correction over budget")
-            return run_experiment(cfg)
+            return build_propagator(spec, dt)
 
-        monkeypatch.setattr(runner_module, "run_experiment", flaky)
+        monkeypatch.setattr(dynamics_module, "build_propagator", flaky)
         code = main(["sweep", "fig5", "--param", "omega", "--values", "5,7,-1"])
         out = capsys.readouterr().out
         assert code == 2

@@ -16,6 +16,7 @@ from collisim.dynamics import (
     kraus_operators,
     propagator_blocks,
     run_protocol,
+    run_protocols,
 )
 from collisim.linalg import (
     IDENTITY_2,
@@ -118,6 +119,24 @@ class TestCollisionStep:
         anc = density_from_pure(KET_PLUS)
         with pytest.raises(NumericalError):
             collision_step(net, step_kraus(np.eye(16), anc))
+
+
+class TestStackedStep:
+    def test_names_the_bad_state_of_a_stack(self):
+        kraus = step_kraus(build_propagator(make_spec(), 0.4), density_from_pure(KET_PLUS))
+        stacked = tuple(np.stack([op] * 3) for op in kraus)
+        nets = np.stack([density_from_pure(basis_ket(3, k)) for k in range(3)])
+        nets[1, 0, 0] = np.nan
+        with pytest.raises(
+            NumericalError, match=r"network state contains non-finite entries \(stack index 1\)"
+        ):
+            collision_step(nets, stacked)
+        nets[1, 0, 0] = 0.0
+        nets[2] *= 1.1
+        with pytest.raises(
+            NumericalError, match=r"beyond budget: hermiticity \S+, trace 0.0999\d* \(stack index 2\)"
+        ):
+            collision_step(nets, stacked)
 
 
 class TestRunProtocol:
@@ -409,6 +428,55 @@ class TestKrausChannel:
         for bad in (np.eye(4, dtype=complex) / 4.0, basis_ket(2)):
             with pytest.raises(ValueError, match="ancilla state has 2 qubits"):
                 run_protocol(make_config(ancilla_init=bad))
+
+
+class TestStackedRuns:
+    """run_protocols steps several runs as one stack, each as if alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        points=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_each_run_matches_its_own(self, seed, n, points, data):
+        # Modes, couplings and ancillas differ between the runs, so pure and
+        # mixed ancillas share a stack and the Kraus operators get padded.
+        rng = np.random.default_rng(seed)
+        configs = []
+        for _ in range(points):
+            upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+            spec = NetworkSpec(
+                topology=Topology(n, upper + upper.T),
+                system_coupling=data.draw(st.sampled_from(list(CouplingKind))),
+                omega0=1.0,
+                ancilla_coupling=data.draw(st.sampled_from(list(CouplingKind))),
+                omega=data.draw(st.floats(0.0, 20.0)),
+                target=data.draw(st.integers(0, n - 1)),
+            )
+            configs.append(
+                ProtocolConfig(
+                    spec=spec,
+                    mode=data.draw(st.sampled_from(list(ProtocolMode))),
+                    dt=data.draw(st.floats(0.01, 1.0)),
+                    steps=12,
+                    ancilla_init=random_ancilla(rng, data.draw(MINOR_WEIGHTS)),
+                    network_init=random_density(rng, 2**n),
+                )
+            )
+        for config, traj in zip(configs, run_protocols(configs)):
+            alone = run_protocol(config)
+            assert traj.config is config
+            assert np.array_equal(traj.network, alone.network)
+            assert np.array_equal(traj.ancilla, alone.ancilla)
+
+    def test_rejects_runs_of_different_sizes(self):
+        chain4 = make_spec(topology=Topology(4, np.diag([1, 1, 1], 1) + np.diag([1, 1, 1], -1)))
+        with pytest.raises(ValueError, match="must share steps and network size"):
+            run_protocols([make_config(), make_config(steps=11)])
+        with pytest.raises(ValueError, match="must share steps and network size"):
+            run_protocols([make_config(), make_config(spec=chain4, network_init=basis_ket(4))])
 
 
 class TestModesAgreeForConservingCouplings:

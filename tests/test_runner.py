@@ -1,6 +1,8 @@
 """Config parsing, presets, sweeps, and file output."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ import yaml
 import collisim.dynamics as dynamics_module
 import collisim.runner as runner_module
 from collisim.dynamics import ProtocolMode
-from collisim.network import CouplingKind
+from collisim.linalg import NumericalError
+from collisim.metrics import find_peaks
+from collisim.network import CouplingKind, pair_label
 from collisim.runner import (
     DUAL_MODE_PRESETS,
     PRESETS,
@@ -356,6 +360,86 @@ class TestSweep:
         assert "config key omega" in str(rows[1].error)
         assert rows[2].error is None and rows[2].top
 
+    def test_points_are_stepped_in_stacks(self, monkeypatch):
+        # A fig2_cm run stores 81 states of 64 entries, 82944 bytes, so 12
+        # runs fill the 1 MiB stack; 30 points take stacks of 12, 12 and 6.
+        # Every row equals the point's own run exactly.
+        sizes = []
+        step = dynamics_module.collision_step
+
+        def counted(net, kraus):
+            sizes.append(net.shape[0])
+            return step(net, kraus)
+
+        monkeypatch.setattr(dynamics_module, "collision_step", counted)
+        base = preset("fig2_cm")
+        values = [4.0 + k / 4 for k in range(30)]
+        rows = sweep(base, "omega", values)
+        assert sizes == [12] * 160 + [6] * 80
+        for value, row in zip(values, rows):
+            alone = run_experiment(dataclasses.replace(base, omega=value))
+            for col, pair in enumerate(alone.pairs):
+                found = find_peaks(alone.table[:, col], 0.0)
+                assert row.top[pair_label(pair)] == (found[0] if found else None)
+
+    def test_a_failing_stack_is_rerun_point_by_point(self, monkeypatch):
+        # A fault that only a stack meets costs no row: each point, rerun
+        # alone, gets the row it gets without the fault.
+        values = [4.0, 5.0, 6.0]
+        want = sweep(small_config(), "omega", values)
+        step = dynamics_module.collision_step
+
+        def flaky(net, kraus):
+            if net.shape[0] > 1:
+                raise NumericalError("step correction over budget")
+            return step(net, kraus)
+
+        monkeypatch.setattr(dynamics_module, "collision_step", flaky)
+        rows = sweep(small_config(), "omega", values)
+        assert [(r.value, r.top, r.error) for r in rows] == [
+            (r.value, r.top, None) for r in want
+        ]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_propagator_fails_its_row(self, monkeypatch):
+        rows = sweep(preset("fig2_cm"), "dt", [0.2, 1e308])
+        assert rows[0].error is None and rows[0].top
+        assert isinstance(rows[1].error, NumericalError)
+        assert "propagator unitarity defect nan" in str(rows[1].error)
+        # A stack of one point that fails is not run a second time.
+        builds = []
+        build_propagator = dynamics_module.build_propagator
+
+        def counted(spec, dt):
+            builds.append(dt)
+            return build_propagator(spec, dt)
+
+        monkeypatch.setattr(dynamics_module, "build_propagator", counted)
+        rows = sweep(preset("fig2_cm"), "dt", [1e308])
+        assert isinstance(rows[0].error, NumericalError)
+        assert builds == [1e308]
+
+    def test_rows_keep_no_trajectory_alive(self, monkeypatch):
+        # A row's error holds no traceback, so no frame of sweep, and with
+        # it no trajectory, outlives the call even without the cyclic GC.
+        refs = []
+        pair_concurrences = runner_module.pair_concurrences
+
+        def tracked(trajectory, pairs):
+            refs.append(weakref.ref(trajectory))
+            return pair_concurrences(trajectory, pairs)
+
+        monkeypatch.setattr(runner_module, "pair_concurrences", tracked)
+        gc.disable()
+        try:
+            rows = sweep(preset("fig2_cm"), "omega", [5.0, -1.0])
+            assert rows[0].error is None
+            assert isinstance(rows[1].error, ValueError)
+            assert len(refs) == 1 and refs[0]() is None
+            assert rows[1].error.__traceback__ is None
+        finally:
+            gc.enable()
+
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="sweep parameter"):
             sweep(small_config(), "steps", [5])
@@ -431,6 +515,26 @@ class TestReproduce:
         assert (tmp_path / "fig5_peaks.txt").exists()
         assert summary["mode_delta"] is not None
         assert summary["mode_delta"] <= 1e-9
+
+    def test_dual_mode_runs_are_stepped_together(self, tmp_path, monkeypatch):
+        # fig6's two runs share one stack of two states and each equals its
+        # own run exactly; fig2_cm steps alone.
+        sizes = []
+        step = dynamics_module.collision_step
+
+        def counted(net, kraus):
+            sizes.append(net.shape[0])
+            return step(net, kraus)
+
+        monkeypatch.setattr(dynamics_module, "collision_step", counted)
+        summary = reproduce("fig6", tmp_path)
+        assert sizes == [2] * 220
+        alone = run_experiment(preset("fig6"))
+        assert np.array_equal(summary["result"].table, alone.table)
+        assert np.array_equal(summary["result"].trajectory.network, alone.trajectory.network)
+        sizes.clear()
+        reproduce("fig2_cm", tmp_path)
+        assert sizes == [1] * 80
 
     def test_single_mode_preset_has_no_delta(self, tmp_path):
         summary = reproduce("fig2_cm", tmp_path)
