@@ -24,15 +24,14 @@ ancilla marginal forward. The run loop makes that choice and checks its
 inputs once, at entry; U's unitarity is verified by build_propagator, and
 collision_step itself checks nothing but its outputs.
 
-collision_step takes stacks, (..., d, d) networks with (..., 2, m, d*d)
-Kraus operators, and treats each state as it would alone. run_protocols
-uses that to step P runs of one size together, one call per step for all
-of them, as sweep and reproduce do; run_protocol is its case P = 1. Each
-run is stored as one Trajectory: a (steps + 1, d, d) array of network
-states and a (steps + 1, 2, 2) array of ancilla states, allocated before
-the first step and filled in place. One run's size is bounded by
-MAX_RUN_BYTES, which ProtocolConfig checks before anything is allocated;
-sweep keeps its stacks within MAX_STACK_BYTES.
+The step and its Kraus builders take stacks and treat each state as they
+would alone. run_protocols steps P runs of one size together, with one
+Kraus pair for the whole stack, rebuilt in one call when any carried
+ancilla moves; run_protocol is its case P = 1. Each run is stored as one
+Trajectory: a (steps + 1, d, d) array of network states and a (steps + 1,
+2, 2) array of ancilla states, allocated before the first step and filled
+in place. ProtocolConfig bounds one run's size by MAX_RUN_BYTES before
+anything is allocated; sweep keeps its stacks within MAX_STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -201,54 +200,42 @@ def _reject(rho, herm_defect, trace_defect, what):
 
 
 def propagator_blocks(u):
-    """Lay out a verified register propagator in the block form the step uses.
+    """Lay out verified register propagators in the block form the step uses.
 
-    Returns (blocks, adjoints), each of shape (2, 2, d*d): entry (j, a) of
-    blocks holds U_ja = <j|U|a> (ancilla in slot 0) flattened, and of
-    adjoints U_ja^dagger.
+    u is one (2d, 2d) propagator or a stack, (..., 2d, 2d). Returns
+    (blocks, adjoints), each (..., 2, 2, d*d): entry (j, a) of blocks holds
+    U_ja = <j|U|a> (ancilla in slot 0) flattened, and of adjoints U_ja^dagger.
     """
-    d = u.shape[0] // 2
-    blocks = u.reshape(2, d, 2, d)
+    d = u.shape[-1] // 2
+    lead = u.shape[:-2]
+    blocks = u.reshape(lead + (2, d, 2, d))
     return (
-        np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape(2, 2, d * d),
-        np.ascontiguousarray(blocks.conj().transpose(0, 2, 3, 1)).reshape(2, 2, d * d),
+        np.ascontiguousarray(blocks.swapaxes(-3, -2)).reshape(lead + (2, 2, d * d)),
+        np.ascontiguousarray(np.moveaxis(blocks.conj(), -3, -1)).reshape(lead + (2, 2, d * d)),
     )
 
 
 def kraus_operators(blocks, anc):
     """Kraus operators of the step channel for ancilla input anc.
 
-    blocks is the output of propagator_blocks. Returns (stack, adjoint),
-    each of shape (2, m, d*d): entry (j, m) of stack holds K_jm flattened,
-    and of adjoint K_jm^dagger.
+    blocks is the output of propagator_blocks, and anc one (2, 2) state or
+    a stack with the same leading axes. Returns (stack, adjoint), each of
+    shape (..., 2, m, d*d): entry (j, m) of stack holds K_jm flattened, and
+    of adjoint K_jm^dagger. m is the largest count in the stack; a pure
+    state's one operator comes first and zero operators pad its slot, which
+    leaves its step unchanged from two network qubits up.
     """
     # Weights come ascending and sum to one, so only the first can be
-    # roundoff on a pure state.
+    # roundoff on a pure state; its operator becomes zero and goes last.
     w, v = np.linalg.eigh(anc)
-    first = 0 if w[0] > _WEIGHT_FLOOR else 1
-    amps = (v[:, first:] * np.sqrt(w[first:])).T
+    kept = (w > _WEIGHT_FLOOR)[..., None]
+    amps = np.where(kept, v.swapaxes(-1, -2) * np.sqrt(w.clip(0.0))[..., None], 0.0)
+    amps = np.where(kept[..., :1, :], amps, amps[..., ::-1, :])
+    if not kept[..., 0, :].any():
+        amps = amps[..., :1, :]
+    # A strided array would take another matmul path and round differently.
+    amps = np.ascontiguousarray(amps[..., None, :, :])
     return amps @ blocks[0], amps.conj() @ blocks[1]
-
-
-def _stack_kraus(ops):
-    """Per-point Kraus pairs stacked on a leading axis, shape (P, 2, m, d*d).
-
-    Points with fewer operators than the largest m are padded with zero
-    operators. From two network qubits up, that leaves every state's step
-    unchanged to the last bit; on a one-qubit network BLAS groups the
-    padded sums differently, which moves results by roundoff.
-    """
-    if len(ops) == 1:
-        # Nothing to pad. Copying the operators on every rebuild made a
-        # carried 7-qubit run about 30% slower.
-        stack, adjoint = ops[0]
-        return stack[None], adjoint[None]
-    m = max(stack.shape[1] for stack, _ in ops)
-    out = np.zeros((2, len(ops), 2, m, ops[0][0].shape[-1]), dtype=complex)
-    for p, (stack, adjoint) in enumerate(ops):
-        out[0, p, :, : stack.shape[1]] = stack
-        out[1, p, :, : stack.shape[1]] = adjoint
-    return out[0], out[1]
 
 
 def collision_step(net, kraus):
@@ -286,12 +273,11 @@ def run_protocols(configs):
     initial states may differ. Each step is one collision_step call on
     the (P, d, d) stack of network states. For each run the initial
     states are validated and the propagator is built, its unitarity
-    verified, once; the steps trust both. Kraus operators are built once
-    per distinct ancilla input of a run: once in collision mode, and in
-    repeated mode again only when its carried ancilla differs from its
-    previous input. The (P, steps + 1, d, d) and (P, steps + 1, 2, 2)
-    trajectory arrays are allocated up front and each step's output is
-    written into its slot; slot 0 holds copies of the initial states.
+    verified, once; the steps trust both. The stack's Kraus pair is rebuilt
+    after a step that moved a carried ancilla, and a run whose input did
+    not move gets the same operators again. The trajectory arrays are
+    allocated up front and each step's output is written into its slot;
+    slot 0 holds copies of the initial states.
     """
     steps, n_net = configs[0].steps, configs[0].spec.topology.n
     for config in configs:
@@ -303,24 +289,21 @@ def run_protocols(configs):
             )
     anc_in = np.array([_as_density(c.ancilla_init, 1, "ancilla state") for c in configs])
     net0 = np.array([_as_density(c.network_init, n_net, "network state") for c in configs])
-    blocks = [propagator_blocks(build_propagator(c.spec, c.dt)) for c in configs]
+    blocks = propagator_blocks(np.array([build_propagator(c.spec, c.dt) for c in configs]))
     network = np.empty((len(configs), steps + 1) + net0.shape[1:], dtype=complex)
     ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
     network[:, 0], ancilla[:, 0] = net0, anc_in
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])
     any_carry = carry.any()
-    ops = [kraus_operators(b, a) for b, a in zip(blocks, anc_in)]
-    kraus = _stack_kraus(ops)
+    kraus = kraus_operators(blocks, anc_in)
     for n in range(1, steps + 1):
         network[:, n], ancilla[:, n] = collision_step(network[:, n - 1], kraus)
         if n == steps or not any_carry:
             continue
         moved = carry & (ancilla[:, n] != anc_in).reshape(len(configs), 4).any(axis=1)
         if moved.any():
-            for p in np.flatnonzero(moved):
-                anc_in[p] = ancilla[p, n]
-                ops[p] = kraus_operators(blocks[p], anc_in[p])
-            kraus = _stack_kraus(ops)
+            anc_in[moved] = ancilla[moved, n]
+            kraus = kraus_operators(blocks, anc_in)
     return [
         Trajectory(config, network[p], ancilla[p]) for p, config in enumerate(configs)
     ]

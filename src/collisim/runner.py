@@ -90,7 +90,7 @@ _MIN_STEPS = 2
 
 
 def config_from_dict(doc):
-    """Build an ExperimentConfig from a parsed key-value document."""
+    """Build an ExperimentConfig from a parsed document, checking every value."""
     if not isinstance(doc, dict):
         raise ValueError(f"config document must be a mapping, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(_CONFIG_FIELDS))
@@ -107,6 +107,7 @@ def config_from_dict(doc):
         value = getattr(cfg, key)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"config key {key} must be a file path, got {value!r}")
+    build_protocol(cfg)
     return cfg
 
 
@@ -405,18 +406,6 @@ def run_experiment(cfg):
     return _analyze(cfg, run_protocol(protocol), pairs, min_height)
 
 
-def _run_together(points):
-    """Step points (cfg, protocol, pairs, min_height) as one stack; analyze each.
-
-    The points must share the network size and the step count.
-    """
-    trajectories = run_protocols([protocol for _, protocol, _, _ in points])
-    return [
-        _analyze(cfg, trajectory, pairs, min_height)
-        for (cfg, _, pairs, min_height), trajectory in zip(points, trajectories)
-    ]
-
-
 # Exit code and message prefix for each failure the CLI reports; the
 # first matching kind wins. sweep records these kinds in its rows.
 _FAILURES = (
@@ -455,10 +444,10 @@ def sweep(base, param, values):
 
     Every point is validated first; the valid ones are then stepped
     together, in stacks of at most dynamics.MAX_STACK_BYTES of network
-    trajectories, and each is analyzed as run_experiment would. Rows are
-    returned in the given order. A failing point is recorded in its row
-    and does not abort the others: a stack that fails is rerun one point
-    at a time, so only the bad point's row fails.
+    trajectories. A row holds each pair's top concurrence peak, read off the
+    table without characterizing it; rows keep the given order. A failing
+    point is recorded in its row and does not abort the others: a stack
+    that fails is rerun one point at a time, so only the bad point fails.
     """
     if param not in ("omega", "dt"):
         raise ValueError(f"sweep parameter must be omega or dt, got {param!r}")
@@ -467,30 +456,29 @@ def sweep(base, param, values):
     rows = [None] * len(values)
     valid = []
     for index, value in enumerate(values):
-        cfg = dataclasses.replace(base, **{param: value})
         try:
-            valid.append((index, (cfg,) + build_protocol(cfg)))
+            valid.append((index, build_protocol(dataclasses.replace(base, **{param: value}))))
         except _FAILURE_KINDS as exc:
             rows[index] = _failed_row(value, exc)
-    size = runs_per_stack(valid[0][1][1]) if valid else 1
+    size = runs_per_stack(valid[0][1][0]) if valid else 1
     for start in range(0, len(valid), size):
         batch = valid[start : start + size]
         try:
-            results = _run_together([point for _, point in batch])
+            trajectories = run_protocols([protocol for _, (protocol, _, _) in batch])
         except _FAILURE_KINDS as exc:
             if len(batch) == 1:
                 rows[batch[0][0]] = _failed_row(values[batch[0][0]], exc)
                 continue
-            results = None
-        for k, (index, point) in enumerate(batch):
+            trajectories = [None] * len(batch)
+        for (index, (protocol, pairs, _)), trajectory in zip(batch, trajectories):
             try:
-                result = results[k] if results else _run_together([point])[0]
+                _, table = pair_concurrences(trajectory or run_protocol(protocol), pairs)
             except _FAILURE_KINDS as exc:
                 rows[index] = _failed_row(values[index], exc)
                 continue
             top = {}
-            for col, pair in enumerate(result.pairs):
-                found = find_peaks(result.table[:, col], 0.0)
+            for col, pair in enumerate(pairs):
+                found = find_peaks(table[:, col], 0.0)
                 top[pair_label(pair)] = found[0] if found else None
             rows[index] = SweepRow(values[index], top, None)
     return rows
@@ -541,18 +529,20 @@ def reproduce(name, out_dir="."):
     included in the returned summary.
     """
     cfg = preset(name)
-    cfgs = [cfg]
+    protocol, pairs, min_height = build_protocol(cfg)
+    protocols = [protocol]
     if name in DUAL_MODE_PRESETS:
-        cfgs.append(dataclasses.replace(cfg, mode=_OTHER_MODE[str(cfg.mode).lower()]))
-    result, *other = _run_together([(c,) + build_protocol(c) for c in cfgs])
+        flipped = dataclasses.replace(cfg, mode=_OTHER_MODE[str(cfg.mode).lower()])
+        protocols.append(build_protocol(flipped)[0])
+    trajectory, *other = run_protocols(protocols)
+    result = _analyze(cfg, trajectory, pairs, min_height)
+    tables = [pair_concurrences(t, pairs)[1] for t in other]
+    mode_delta = float(np.max(np.abs(result.table - tables[0]))) if tables else None
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     report_path = os.path.join(out_dir, f"{name}_peaks.txt")
     emit_csv(result, csv_path)
     emit_report(result, report_path)
-    mode_delta = None
-    if other:
-        mode_delta = float(np.max(np.abs(result.table - other[0].table)))
     return {
         "preset": name,
         "csv": csv_path,

@@ -198,6 +198,40 @@ class TestSweepCommand:
         assert "omega=7: error: step correction over budget" in out
         assert "omega=-1: error:" in out
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("topology", [[0, 1.5, 0], [1.5, 0, 1], [0, 1, 0]]),
+            ("system_coupling", "YY"),
+            ("ancilla_coupling", "XZ"),
+            ("target", "AB"),
+            ("mode", "markovian"),
+            ("ancilla_init", [1, 1]),
+            ("network_init", "012"),
+            ("tracked_pairs", [["A", "Q"]]),
+        ],
+    )
+    def test_bad_config_fails_once_at_load(self, tmp_path, capsys, key, value):
+        # The config is rejected before any point runs, not once per row.
+        path = write_config(tmp_path, **{key: value})
+        assert main(["sweep", str(path), "--param", "omega", "--values", "4,5,6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert key in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_overflowing_dt_fails_its_row_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "fig2_cm", "--param", "dt", "--values", "0.2,1e308"])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("dt=0.2: C_AB")
+        assert lines[1] == "dt=1e+308: error: propagator unitarity defect nan"
+        assert captured.err == ""
+
     def test_rejects_unknown_parameter(self, capsys):
         assert main(["sweep", "fig5", "--param", "steps", "--values", "5"]) == 1
 

@@ -386,7 +386,8 @@ class TestKrausChannel:
         # Kraus operators are built once per distinct ancilla input, and
         # never for a step that does not run, so the last build is the last
         # step's input. fig5's carried ancilla stays put on every step whose
-        # output is fed on; fig6's moves every step.
+        # output is fed on; fig6's moves every step. A single run's input is
+        # a stack of one, (1, 2, 2).
         builds = []
 
         def counted(blocks, anc):
@@ -408,7 +409,7 @@ class TestKrausChannel:
                 assert all(
                     not np.array_equal(a, b) for a, b in zip(builds, builds[1:])
                 )
-                assert np.array_equal(builds[-1], traj.ancilla[protocol.steps - 1])
+                assert np.array_equal(builds[-1], traj.ancilla[None, protocol.steps - 1])
 
     # The channel trusts its ancilla input: run_protocol rejects a bad one
     # at entry, before the propagator is built or any step runs.
@@ -428,6 +429,40 @@ class TestKrausChannel:
         for bad in (np.eye(4, dtype=complex) / 4.0, basis_ket(2)):
             with pytest.raises(ValueError, match="ancilla state has 2 qubits"):
                 run_protocol(make_config(ancilla_init=bad))
+
+
+class TestStackedKraus:
+    """propagator_blocks and kraus_operators take stacks, each state as alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_net=st.integers(1, 3),
+        lead=st.sampled_from([(1,), (2,), (5,), (2, 3)]),
+        data=st.data(),
+    )
+    def test_stack_matches_per_state_calls(self, seed, n_net, lead, data):
+        # Pure and mixed ancillas share the stack: slot p holds its own m_p
+        # operators, then exact zeros up to the stack's largest count.
+        rng = np.random.default_rng(seed)
+        count = int(np.prod(lead))
+        us = np.array([random_unitary(rng, 2 ** (n_net + 1)) for _ in range(count)])
+        ancs = np.array([random_ancilla(rng, data.draw(MINOR_WEIGHTS)) for _ in range(count)])
+        blocks = propagator_blocks(us.reshape(lead + us.shape[1:]))
+        kraus = kraus_operators(blocks, ancs.reshape(lead + (2, 2)))
+        m = 1
+        for p, (u, anc) in enumerate(zip(us, ancs)):
+            index = np.unravel_index(p, lead)
+            alone = propagator_blocks(u)
+            for got, want in zip(blocks, alone):
+                assert np.array_equal(got[index], want)
+            for got, want in zip(kraus, kraus_operators(alone, anc)):
+                m_p = want.shape[1]
+                m = max(m, m_p)
+                assert np.array_equal(got[index][:, :m_p], want)
+                assert not got[index][:, m_p:].any()
+        for ops in kraus:
+            assert ops.shape == lead + (2, m, 4**n_net)
 
 
 class TestStackedRuns:

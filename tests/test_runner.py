@@ -400,7 +400,6 @@ class TestSweep:
             (r.value, r.top, None) for r in want
         ]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_non_finite_propagator_fails_its_row(self, monkeypatch):
         rows = sweep(preset("fig2_cm"), "dt", [0.2, 1e308])
         assert rows[0].error is None and rows[0].top
@@ -418,6 +417,21 @@ class TestSweep:
         rows = sweep(preset("fig2_cm"), "dt", [1e308])
         assert isinstance(rows[0].error, NumericalError)
         assert builds == [1e308]
+
+    def test_points_are_not_peak_characterized(self, monkeypatch):
+        # A row needs only each pair's top peak from the concurrence table.
+        values = [5.0, 12.0, -1.0]
+        want = sweep(preset("fig2_cm"), "omega", values)
+
+        def fail(state):
+            raise AssertionError("characterized a sweep point's peak")
+
+        monkeypatch.setattr(runner_module, "characterize_peak", fail)
+        rows = sweep(preset("fig2_cm"), "omega", values)
+        assert [(r.value, r.top, type(r.error)) for r in rows] == [
+            (r.value, r.top, type(r.error)) for r in want
+        ]
+        assert want[0].top and want[2].top == {}
 
     def test_rows_keep_no_trajectory_alive(self, monkeypatch):
         # A row's error holds no traceback, so no frame of sweep, and with
