@@ -11,11 +11,11 @@ is applied in operator-sum form without ever forming the joint register:
 
 where U_ja = <j|U|a> are the network-sized blocks of U (ancilla in slot
 0) and (w_m, v_m) is the eigendecomposition of the incoming ancilla
-state. A pure ancilla gives two Kraus operators, a mixed one four. The
-post-step ancilla comes from the same operators, anc'_jk = sum_m
-tr(K_jm rho K_km^dagger). Both marginals are then hermitized and
-renormalized, and a step that needs more than MAX_STEP_CORRECTION of
-repair aborts the run.
+state. A pure ancilla gives two Kraus operators, a mixed one four; a
+charged ancilla (below) keeps all four. The post-step ancilla comes from
+the same operators, anc'_jk = sum_m tr(K_jm rho K_km^dagger). Both
+marginals are then hermitized and renormalized, and a step that needs
+more than MAX_STEP_CORRECTION of repair aborts the run.
 
 The two protocol modes differ only in what is fed to the next step:
 Collision resets the ancilla to its initial state, so its Kraus operators
@@ -24,18 +24,36 @@ ancilla marginal forward. The run loop makes that choice and checks its
 inputs once, at entry; U's unitarity is verified by build_propagator, and
 collision_step itself checks nothing but its outputs.
 
+The step works on a charge partition of the network basis. When the
+register Hamiltonian conserves a charge Q = q_anc + Q_net, each block U_ja
+moves the network charge by q(a) - q(j), so a network state that starts
+block-diagonal in Q_net stays so, and only its blocks are stepped. The
+charges tried, finest first, are the network's excitation number and its
+parity, each with the ancilla uncharged (q = 0) or charged (q = 0, 1). A
+charge holds for a run when U is exactly 0 between charges
+(build_propagator leaves it so wherever H is), the initial network state
+is exactly block-diagonal, and, for a charged ancilla, the ancilla state
+is exactly diagonal; a carried charged ancilla then stays exactly
+diagonal. A run that keeps no charge, and a stack whose runs keep no
+charge in common, is stepped as one block: the same kernel with one
+sector. Sandwiches of one shape run as one batched product.
+
 The step and its Kraus builders take stacks and treat each state as they
 would alone. run_protocols steps P runs of one size together, with one
-Kraus pair for the whole stack, rebuilt in one call when any carried
-ancilla moves; run_protocol is its case P = 1. Each run is stored as one
-Trajectory: a (steps + 1, d, d) array of network states and a (steps + 1,
-2, 2) array of ancilla states, allocated before the first step and filled
-in place. ProtocolConfig bounds one run's size by MAX_RUN_BYTES before
-anything is allocated; sweep keeps its stacks within MAX_STACK_BYTES.
+set of Kraus operators for the whole stack, rebuilt in one call when any
+carried ancilla moves; run_protocol is its case P = 1. Only the current
+step's blocks are kept; each step scatters them into one Trajectory per
+run, which stays dense: a (steps + 1, d, d) array of network states,
+exactly 0 between sectors, and a (steps + 1, 2, 2) array of ancilla
+states, allocated before the first step and filled in place.
+ProtocolConfig bounds one run's size by MAX_RUN_BYTES before anything is
+allocated; sweep keeps its stacks within MAX_STACK_BYTES.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,12 +65,13 @@ from .linalg import (
     check_pure_state,
     density_from_pure,
     first_flagged,
+    num_qubits_of,
 )
 
 # bench/spans.py wraps partial_trace where this module looks it up, so the
 # name stays importable here although the step itself takes no partial trace.
 from .linalg import partial_trace  # noqa: F401
-from .network import NetworkSpec, build_propagator
+from .network import _CHARGES, NetworkSpec, _conserved, _register_charge, build_propagator
 
 # A post-step cleanup (hermitize, renormalize the trace) absorbs roundoff;
 # if it ever has to move a state by more than this, the run is aborted
@@ -62,6 +81,14 @@ MAX_STEP_CORRECTION = 1e-8
 # Ancilla eigenvalues at or below this are roundoff on a pure state; their
 # Kraus operators are dropped, so a pure ancilla costs two operators, not four.
 _WEIGHT_FLOOR = 1e-14
+
+# The propagator blocks U_ja = <j|U|a> as (j, a), those that keep the
+# ancilla state first.
+_ALL_BLOCKS = ((0, 0), (1, 1), (0, 1), (1, 0))
+
+# The flattened 2x2 ancilla: the index of its transpose and its diagonal.
+_ANCILLA_TRANSPOSE = np.array([0, 2, 1, 3])
+_ANCILLA_DIAGONAL = np.array([0, 3])
 
 
 # Largest dense storage one run may commit: the trajectory's network states
@@ -163,106 +190,346 @@ def _as_density(state, expected_qubits, what):
     return rho
 
 
-def _cleanup(rho, what):
-    """Hermitize and renormalize each state of a (..., d, d) stack.
+class _Partition(
+    namedtuple("_Partition", "charge sectors classes index views transpose diagonal")
+):
+    """A charge partition of the network basis and the layout of its blocks.
 
-    A state that needs more than roundoff repair aborts the run. One test
-    also catches a non-finite entry, which makes a defect NaN or inf. The
-    reductions run over each state flattened, which is cheaper than over
-    a tuple of axes.
+    sectors[q] holds the basis indices of charge q in ascending order.
+    Sectors of one size b form a class, stored as a (P, S, b, b) view of
+    the (P, N) array of a stack's blocks: classes lists (offset, charges,
+    b) for each, and views the (column slice, shape) of that view. index
+    places the array in the flattened dense states, and is None for the
+    one block that is the whole state. For the array with the flattened
+    ancilla appended, (P, N + 4), transpose maps it to its blocks' and the
+    ancilla's transposes, and diagonal lists their diagonal entries,
+    network first.
     """
-    adjoint = rho.conj().swapaxes(-1, -2)
-    herm_defect = np.abs(rho - adjoint).reshape(rho.shape[:-2] + (-1,)).max(axis=-1) / 2.0
+
+    __slots__ = ()
+
+    def target(self, q, shift):
+        """The charge that q moves to, or None outside the range."""
+        t = q + shift
+        if self.charge[0] == "parity":
+            return t % 2
+        return t if 0 <= t < len(self.sectors) else None
+
+    def gather(self, dense):
+        """The (P, N) blocks of a (P, d, d) stack of states."""
+        flat = dense.reshape(len(dense), -1)
+        return flat if self.index is None else np.take(flat, self.index, axis=1)
+
+    def scatter(self, dense, blocks):
+        """Write (P, N) blocks into a (P, d, d) stack whose other entries are 0."""
+        if self.index is None:
+            dense[...] = blocks.reshape(dense.shape)
+        else:
+            dense.reshape(len(dense), -1)[:, self.index] = blocks
+
+
+@functools.lru_cache(maxsize=32)
+def _partition(charge, n):
+    """The _Partition of the network basis by one of network._CHARGES.
+
+    Cached, so callers share it; its arrays are read-only."""
+    d = 2**n
+    labels = _register_charge(charge, n)[:d]
+    sectors = [np.flatnonzero(labels == q) for q in range(labels.max() + 1)]
+    by_size = {}
+    for q, sector in enumerate(sectors):
+        by_size.setdefault(len(sector), []).append(q)
+    classes, offset = [], 0
+    for b, charges in by_size.items():
+        classes.append((offset, charges, b))
+        offset += len(charges) * b * b
+    index = None
+    if len(sectors) > 1:
+        index = np.concatenate(
+            [(sectors[q][:, None] * d + sectors[q]).ravel() for _, qs, _ in classes for q in qs]
+        )
+    views = [(slice(o, o + len(qs) * b * b), (-1, len(qs), b, b)) for o, qs, b in classes]
+    entries = [np.arange(o, o + len(qs) * b * b).reshape(len(qs), b, b) for o, qs, b in classes]
+    transpose = np.concatenate(
+        [e.swapaxes(-1, -2).ravel() for e in entries] + [offset + _ANCILLA_TRANSPOSE]
+    )
+    diagonal = np.concatenate(
+        [e.diagonal(axis1=-2, axis2=-1).ravel() for e in entries] + [offset + _ANCILLA_DIAGONAL]
+    )
+    for shared in sectors + [index, transpose, diagonal]:
+        if shared is not None:
+            shared.flags.writeable = False
+    return _Partition(charge, sectors, classes, index, views, transpose, diagonal)
+
+
+def _choose_partition(u, net, anc):
+    """The finest charge partition that every run of a stack keeps.
+
+    A charge holds for a run when its propagator u is exactly 0 between
+    charges (build_propagator leaves it so wherever H is), its initial
+    network state is exactly block-diagonal, and, for a charged ancilla,
+    the ancilla state is exactly diagonal. The no-charge partition, one
+    block, always holds.
+    """
+    n = num_qubits_of(net.shape[-1])
+    kept = set(_conserved(u, n)) & set(_conserved(net, n))
+    diagonal = not anc[:, [0, 1], [1, 0]].any()
+    for charge in _CHARGES:
+        if charge in kept and (diagonal or not charge[1]):
+            return _partition(charge, n)
+
+
+def _cleanup(blocks, anc, partition):
+    """Hermitize and renormalize each run's network blocks and ancilla.
+
+    blocks holds the stack's network blocks, one (P, S, b, b) array per
+    class of the partition, and anc the (P, 2, 2) ancilla states; both
+    are cleaned in one pass over their flattened concatenation, (P, N + 4),
+    whose transposes and diagonal entries the partition indexes. Returns
+    the cleaned (P, N) network blocks and (P, 2, 2) ancillas. A run that
+    needs more than roundoff repair aborts the run (see _reject); one test
+    also catches a non-finite entry, which makes a defect NaN or inf.
+    """
+    p, n = len(anc), len(partition.transpose) - 4
+    both = np.concatenate([rho.reshape(p, -1) for rho in blocks] + [anc.reshape(p, 4)], axis=1)
+    adjoint = np.take(both, partition.transpose, axis=1).conj()
     # Hermitizing keeps the real part of every diagonal entry exactly, so
-    # this trace also renormalizes the hermitized state.
-    trace = rho.trace(axis1=-2, axis2=-1).real
-    trace_defect = np.abs(trace - 1.0)
-    if not (np.maximum(herm_defect, trace_defect) <= MAX_STEP_CORRECTION).all():
-        _reject(rho, herm_defect, trace_defect, what)
-    rho = rho + adjoint
-    rho *= 0.5
-    rho /= trace[..., None, None]
-    return rho
+    # these traces, network then ancilla, also renormalize the result.
+    diagonal = np.take(both, partition.diagonal, axis=1).real
+    traces = np.add.reduceat(diagonal, (0, diagonal.shape[1] - 2), axis=1)
+    # Written so that a NaN defect fails too: every comparison with NaN is False.
+    if not (
+        np.abs(both - adjoint).max() <= 2.0 * MAX_STEP_CORRECTION
+        and np.abs(traces - 1.0).max() <= MAX_STEP_CORRECTION
+    ):
+        d = diagonal.shape[1] - 2
+        _reject(both[:, :n], partition.transpose[:n], partition.diagonal[:d], "network state")
+        _reject(both[:, n:], _ANCILLA_TRANSPOSE, _ANCILLA_DIAGONAL, "ancilla state")
+    both += adjoint
+    both *= np.repeat(0.5 / traces, (n, 4), axis=1)
+    return both[:, :n], both[:, n:].reshape(p, 2, 2)
 
 
-def _reject(rho, herm_defect, trace_defect, what):
-    """Raise _cleanup's NumericalError, naming the first bad state of a stack."""
-    finite = np.isfinite(rho.reshape(rho.shape[:-2] + (-1,))).all(axis=-1)
+def _reject(flat, transpose, diagonal, what):
+    """Raise _cleanup's NumericalError for the first run of a state that
+    needs more than MAX_STEP_CORRECTION of repair, if one does.
+
+    A run's hermiticity defect is half its largest |rho - rho^dagger|
+    entry over all blocks, and its trace defect is the distance of the
+    summed trace from 1.
+    """
+    finite = np.isfinite(flat).all(axis=-1)
     if not finite.all():
         where, _ = first_flagged(~finite, finite)
         raise NumericalError(f"{what} contains non-finite entries{where}")
-    over = np.maximum(herm_defect, trace_defect) > MAX_STEP_CORRECTION
-    where, herm = first_flagged(over, herm_defect)
-    _, trace = first_flagged(over, trace_defect)
-    raise NumericalError(
-        f"{what} needs correction beyond budget: hermiticity {herm}, trace {trace}{where}"
-    )
+    herm_defect = np.abs(flat - np.take(flat, transpose, axis=1).conj()).max(axis=-1) / 2.0
+    trace_defect = np.abs(np.take(flat, diagonal, axis=1).real.sum(axis=-1) - 1.0)
+    over = ~(np.maximum(herm_defect, trace_defect) <= MAX_STEP_CORRECTION)
+    if over.any():
+        where, herm = first_flagged(over, herm_defect)
+        _, trace = first_flagged(over, trace_defect)
+        raise NumericalError(
+            f"{what} needs correction beyond budget: hermiticity {herm}, trace {trace}{where}"
+        )
 
 
-def propagator_blocks(u):
+class _Group(
+    namedtuple("_Group", "s_class s_pos t_class t_pos b_t b_s u u_adj ja diagonal shapes")
+):
+    """Step sandwiches of one shape, from S sectors of charge q to charge t.
+
+    The sectors are positions s_pos of class s_class and t_pos of class
+    t_class, None for a whole class in order; no two share a target. u and
+    u_adj hold the propagator blocks U_ja restricted to each sector pair,
+    (P, S, J, A, b_t * b_s), and their adjoints, (P, S, J, A, b_s * b_t):
+    for an uncharged ancilla j and a each run over 0 and 1; for a charged
+    one each of the J operators has its own (j, a), A = 1, listed in ja
+    (S, J, 2). For a charged ancilla, diagonal is the (2, S*J) 0/1 matrix
+    that adds each operator's weight to the ancilla entry (j, j). shapes
+    maps the Kraus count m to the array shapes the step works in.
+    """
+
+    __slots__ = ()
+
+
+def propagator_blocks(u, partition):
     """Lay out verified register propagators in the block form the step uses.
 
-    u is one (2d, 2d) propagator or a stack, (..., 2d, 2d). Returns
-    (blocks, adjoints), each (..., 2, 2, d*d): entry (j, a) of blocks holds
-    U_ja = <j|U|a> (ancilla in slot 0) flattened, and of adjoints U_ja^dagger.
+    u is a (P, 2d, 2d) stack of propagators that keep the partition's
+    charge. Returns (partition, groups), the _Groups of sandwiches that
+    the step runs. Each sandwich links a sector pair (q, t): an uncharged
+    ancilla keeps the charge, and the block U_ja for a charged one moves
+    it by a - j. Pairs with the same shape and number of blocks form a
+    group, unless it already has their target.
     """
     d = u.shape[-1] // 2
-    lead = u.shape[:-2]
-    blocks = u.reshape(lead + (2, d, 2, d))
-    return (
-        np.ascontiguousarray(blocks.swapaxes(-3, -2)).reshape(lead + (2, 2, d * d)),
-        np.ascontiguousarray(np.moveaxis(blocks.conj(), -3, -1)).reshape(lead + (2, 2, d * d)),
-    )
+    home = {}
+    for c, (_, charges, _) in enumerate(partition.classes):
+        for pos, q in enumerate(charges):
+            home[q] = (c, pos)
+    links = {}
+    for q in range(len(partition.sectors)):
+        for j, a in _ALL_BLOCKS:
+            t = partition.target(q, a - j if partition.charge[1] else 0)
+            if t is not None:
+                links.setdefault((q, t), []).append((j, a))
+    grouped = {}
+    for (q, t), ja in links.items():
+        key = (len(partition.sectors[t]), len(partition.sectors[q]), len(ja))
+        bins = grouped.setdefault(key, [])
+        for members in bins:
+            if t not in [t2 for (_, t2), _ in members]:
+                members.append(((q, t), ja))
+                break
+        else:
+            bins.append([((q, t), ja)])
+    groups = []
+    for (b_t, b_s, _), bins in grouped.items():
+        for members in bins:
+            src = np.array([partition.sectors[q] for (q, _), _ in members])
+            dst = np.array([partition.sectors[t] for (_, t), _ in members])
+            ja = np.array([ja for _, ja in members])
+            if partition.charge[1]:
+                js, avals = ja[:, :, :1], ja[:, :, 1:]
+            else:
+                js, avals = np.array([[[0], [1]]]), np.array([[[0, 1]]])
+            rows = js[..., None, None] * d + dst[:, None, None, :, None]
+            cols = avals[..., None, None] * d + src[:, None, None, None, :]
+            shape = (len(u), len(members)) + np.broadcast_shapes(js.shape, avals.shape)[1:] + (-1,)
+            # Per Kraus count m: the shapes of the operators, their adjoints
+            # and the products, and of the operator pairs whose traces make
+            # the ancilla, (j, m) with (k, m) or each charged one with itself.
+            p, s, j = shape[:3]
+            shapes = {}
+            for m in (1, 2):
+                ops = j * m
+                pairs = [(p, s * ops, -1)] * 2 if partition.charge[1] else [
+                    (p, s, 1, 2, -1),
+                    (p, s, 2, 1, -1),
+                ]
+                shapes[m] = (
+                    (p, s, ops * b_t, b_s),
+                    (p, s, ops * b_s, b_t),
+                    (p, s, ops, b_t, b_s),
+                    (p, s, b_t, ops * b_s),
+                    *pairs,
+                )
+            s_class, s_pos = zip(*[home[q] for (q, _), _ in members])
+            t_class, t_pos = zip(*[home[t] for (_, t), _ in members])
+            t_pos = _positions(t_pos, partition.classes[t_class[0]])
+            groups.append(
+                _Group(
+                    s_class[0],
+                    _positions(s_pos, partition.classes[s_class[0]]),
+                    t_class[0],
+                    t_pos,
+                    b_t,
+                    b_s,
+                    # Mixed slice and fancy indexing leaves the run axis
+                    # inside; a strided array would round differently.
+                    np.ascontiguousarray(u[:, rows, cols]).reshape(shape),
+                    np.ascontiguousarray(
+                        u[:, rows.swapaxes(-1, -2), cols.swapaxes(-1, -2)].conj()
+                    ).reshape(shape),
+                    ja,
+                    (ja[:, :, 0].ravel() == [[0], [1]]) if partition.charge[1] else None,
+                    shapes,
+                )
+            )
+    # Groups that cover a whole class go first, so the step can take the
+    # first one's sandwiches as the class's output and add the rest to it.
+    groups.sort(key=lambda g: g.t_pos is not None)
+    return partition, groups
+
+
+def _positions(pos, cls):
+    """None for every sector of the class in order, else the positions as an array."""
+    return None if list(pos) == list(range(len(cls[1]))) else np.array(pos)
 
 
 def kraus_operators(blocks, anc):
-    """Kraus operators of the step channel for ancilla input anc.
+    """Kraus operators of the step channel for a (P, 2, 2) stack of ancillas.
 
-    blocks is the output of propagator_blocks, and anc one (2, 2) state or
-    a stack with the same leading axes. Returns (stack, adjoint), each of
-    shape (..., 2, m, d*d): entry (j, m) of stack holds K_jm flattened, and
-    of adjoint K_jm^dagger. m is the largest count in the stack; a pure
-    state's one operator comes first and zero operators pad its slot, which
-    leaves its step unchanged from two network qubits up.
+    blocks is the output of propagator_blocks. Returns (partition, steps),
+    one step per _Group: the group, its (P, S, J*m*b_t, b_s)
+    operators K_jm = sum_a v_am U_ja restricted to the group's sector
+    pairs, and their (P, S, J*m*b_s, b_t) adjoints.
+
+    An uncharged ancilla gives each run its eigendecomposition (w_m, v_m):
+    m is the largest count in the stack, a pure state's one operator comes
+    first and zero operators pad its slot. A charged ancilla is diagonal,
+    so each of the four operators is sqrt(p_a) U_ja, zero for a weight at
+    or below the floor; they keep their layout whatever the weights, so a
+    run steps the same alone as in any stack.
     """
-    # Weights come ascending and sum to one, so only the first can be
-    # roundoff on a pure state; its operator becomes zero and goes last.
-    w, v = np.linalg.eigh(anc)
-    kept = (w > _WEIGHT_FLOOR)[..., None]
-    amps = np.where(kept, v.swapaxes(-1, -2) * np.sqrt(w.clip(0.0))[..., None], 0.0)
-    amps = np.where(kept[..., :1, :], amps, amps[..., ::-1, :])
-    if not kept[..., 0, :].any():
-        amps = amps[..., :1, :]
-    # A strided array would take another matmul path and round differently.
-    amps = np.ascontiguousarray(amps[..., None, :, :])
-    return amps @ blocks[0], amps.conj() @ blocks[1]
+    partition, groups = blocks
+    charged = partition.charge[1]
+    if charged:
+        weights = anc[:, [0, 1], [0, 1]].real
+        amps = np.where(weights > _WEIGHT_FLOOR, np.sqrt(weights.clip(0.0)), 0.0)
+    else:
+        # Weights come ascending and sum to one, so only the first can be
+        # roundoff on a pure state; its operator becomes zero and goes last.
+        w, v = np.linalg.eigh(anc)
+        kept = (w > _WEIGHT_FLOOR)[..., None]
+        amps = np.where(kept, v.swapaxes(-1, -2) * np.sqrt(w.clip(0.0))[..., None], 0.0)
+        amps = np.where(kept[..., :1, :], amps, amps[..., ::-1, :])
+        if not kept[..., 0, :].any():
+            amps = amps[..., :1, :]
+        # A strided array would take another matmul path and round differently.
+        amps = np.ascontiguousarray(amps[:, None, None])
+    steps = []
+    for g in groups:
+        a = np.take(amps, g.ja[:, :, 1], axis=1)[..., None, None] if charged else amps
+        shapes = g.shapes[a.shape[-2]]
+        stack = (a @ g.u).reshape(shapes[0])
+        steps.append((g, stack, (a.conj() @ g.u_adj).reshape(shapes[1]), shapes[2:]))
+    return partition, steps
 
 
 def collision_step(net, kraus):
     """One collision as a channel on the network, in operator-sum form.
 
-    net is one (d, d) state or a stack of them, (..., d, d). kraus is the
-    (stack, adjoint) pair from kraus_operators for the incoming ancilla,
-    with the same leading axes: (..., 2, m, d*d). Returns the post-step
-    (network, ancilla) marginals, (..., d, d) and (..., 2, 2), each state
-    cleaned up to exact hermiticity and unit trace.
+    net is the (P, N) array of a stack's sector blocks, and kraus the
+    (partition, steps) pair from kraus_operators for the incoming ancillas.
+    Returns the post-step (network blocks, ancilla) marginals, (P, N) and
+    (P, 2, 2), each run cleaned up to exact hermiticity and unit trace.
     """
-    stack, adjoint = kraus
-    d = net.shape[-1]
-    lead = net.shape[:-2]
-    count = stack.shape[-3] * stack.shape[-2]
-    # K rho for every Kraus operator in one product, then
-    # sum_i (K_i rho) K_i^dagger = hstack(K rho) @ vstack(K^dagger).
-    applied = stack.reshape(lead + (count * d, d)) @ net
-    side = applied.reshape(lead + (count, d, d)).swapaxes(-3, -2)
-    net_out = side.reshape(lead + (d, count * d)) @ adjoint.reshape(lead + (count * d, d))
-    # anc'_jk = sum_m tr(K_jm rho K_km^dagger); vecdot conjugates its first
-    # argument and sums in the order vdot does, so one state's ancilla is
-    # the same to the last bit whether or not it is stepped in a stack.
-    applied = applied.reshape(lead + (2, 1, -1))
-    stack = stack.reshape(lead + (1, 2, -1))
-    anc_out = np.vecdot(stack, applied)
-    return _cleanup(net_out, "network state"), _cleanup(anc_out, "ancilla state")
+    partition, steps = kraus
+    rho = [net[:, columns].reshape(shape) for columns, shape in partition.views]
+    out = [None] * len(rho)
+    anc = None
+    for g, stack, adjoint, (split, joined, pair_k, pair_applied) in steps:
+        state = rho[g.s_class] if g.s_pos is None else np.take(rho[g.s_class], g.s_pos, axis=1)
+        # K rho for every Kraus operator in one product, then
+        # sum_i (K_i rho) K_i^dagger = hstack(K rho) @ vstack(K^dagger).
+        applied = stack @ state
+        sandwich = applied.reshape(split).swapaxes(-3, -2).reshape(joined) @ adjoint
+        target = out[g.t_class]
+        if target is None and g.t_pos is None:
+            out[g.t_class] = sandwich
+        else:
+            if target is None:
+                target = out[g.t_class] = np.zeros_like(rho[g.t_class])
+            if g.t_pos is None:
+                target += sandwich
+            else:
+                target[:, g.t_pos] += sandwich
+        # anc'_jk = sum_m tr(K_jm rho K_km^dagger); vecdot conjugates its
+        # first argument and sums in the order vdot does. Operators with
+        # another a never share a sector pair, so a charged ancilla gets
+        # only its diagonal, and its off-diagonal entries stay exactly 0.
+        part = np.vecdot(stack.reshape(pair_k), applied.reshape(pair_applied))
+        if g.diagonal is not None:
+            part = np.vecdot(g.diagonal, part[:, None, :])
+        elif len(g.ja) > 1:
+            part = part.sum(axis=1)
+        else:
+            part = part[:, 0]
+        anc = part if anc is None else anc + part
+    if partition.charge[1]:
+        anc = anc[:, :, None] * np.eye(2)
+    return _cleanup(out, anc, partition)
 
 
 def run_protocols(configs):
@@ -271,13 +538,14 @@ def run_protocols(configs):
     The configs must share the network size and the step count, as the
     points of a sweep over omega or dt do; their couplings, dt, modes and
     initial states may differ. Each step is one collision_step call on
-    the (P, d, d) stack of network states. For each run the initial
-    states are validated and the propagator is built, its unitarity
-    verified, once; the steps trust both. The stack's Kraus pair is rebuilt
-    after a step that moved a carried ancilla, and a run whose input did
-    not move gets the same operators again. The trajectory arrays are
-    allocated up front and each step's output is written into its slot;
-    slot 0 holds copies of the initial states.
+    the blocks of the stack's network states, in the finest charge
+    partition that every run keeps. For each run the initial states are
+    validated and the propagator is built, its unitarity verified, once;
+    the steps trust both. The stack's Kraus operators are rebuilt after a
+    step that moved a carried ancilla, and a run whose input did not move
+    gets the same operators again. The trajectory arrays are allocated up
+    front and each step's blocks are scattered into their slot; slot 0
+    holds copies of the initial states.
     """
     steps, n_net = configs[0].steps, configs[0].spec.topology.n
     for config in configs:
@@ -289,15 +557,20 @@ def run_protocols(configs):
             )
     anc_in = np.array([_as_density(c.ancilla_init, 1, "ancilla state") for c in configs])
     net0 = np.array([_as_density(c.network_init, n_net, "network state") for c in configs])
-    blocks = propagator_blocks(np.array([build_propagator(c.spec, c.dt) for c in configs]))
-    network = np.empty((len(configs), steps + 1) + net0.shape[1:], dtype=complex)
+    u = np.array([build_propagator(c.spec, c.dt) for c in configs])
+    partition = _choose_partition(u, net0, anc_in)
+    blocks = propagator_blocks(u, partition)
+    # Entries between sectors are never written and stay exactly 0.
+    network = np.zeros((len(configs), steps + 1) + net0.shape[1:], dtype=complex)
     ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
     network[:, 0], ancilla[:, 0] = net0, anc_in
+    net = partition.gather(net0)
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])
     any_carry = carry.any()
     kraus = kraus_operators(blocks, anc_in)
     for n in range(1, steps + 1):
-        network[:, n], ancilla[:, n] = collision_step(network[:, n - 1], kraus)
+        net, ancilla[:, n] = collision_step(net, kraus)
+        partition.scatter(network[:, n], net)
         if n == steps or not any_carry:
             continue
         moved = carry & (ancilla[:, n] != anc_in).reshape(len(configs), 4).any(axis=1)

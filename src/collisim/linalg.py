@@ -77,21 +77,24 @@ def embed_single(op, site, n):
 
 def is_hermitian(m, atol=ATOL_STATE):
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= atol)
 
 
 def expm_hermitian(h, scale):
-    """exp(scale * h) for Hermitian h, via eigendecomposition.
+    """exp(scale * h) for Hermitian h, or for each matrix of a (..., d, d) stack.
 
-    h must be square and Hermitian within ATOL_STATE, or ValueError is
-    raised. With purely imaginary scale the result is unitary up to
-    eigensolver accuracy, which is what the propagators rely on.
+    Computed via eigendecomposition. h must be square and Hermitian within
+    ATOL_STATE, or ValueError is raised. With purely imaginary scale the
+    result is unitary up to eigensolver accuracy, which is what the
+    propagators rely on.
     """
-    h = _as_square(h, "Hermitian matrix")
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"Hermitian matrix must be square, got shape {h.shape}")
     if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _bit_offsets(qubits, n):

@@ -7,21 +7,13 @@ as letters, A for index 0, B for 1, and so on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY_2,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
-    ATOL_UNITARY,
-    NumericalError,
-    expm_hermitian,
-)
+from .linalg import ATOL_UNITARY, NumericalError, expm_hermitian
 
 class CouplingKind(Enum):
     """Pairwise interaction type used for a simulation."""
@@ -103,37 +95,33 @@ class NetworkSpec:
             raise ValueError("coupling strengths must be finite and non-negative")
 
 
-def _embed_pair(op_i, i, op_j, j, n):
-    """op_i in slot i times op_j in slot j, as one np.kron chain.
-
-    Equals embed_single(op_i, i, n) @ embed_single(op_j, j, n) for i != j
-    without the register-sized product.
-    """
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n):
-        out = np.kron(out, op_i if k == i else op_j if k == j else IDENTITY_2)
-    return out
-
-
 def pair_term(kind, i, j, n):
     """Two-qubit coupling operator embedded in an n-qubit register.
 
     XX gives sigma_x sigma_x, ZZ gives sigma_z sigma_z, and Exchange gives
-    (sigma_plus sigma_minus + sigma_minus sigma_plus) / 2.
+    (sigma_plus sigma_minus + sigma_minus sigma_plus) / 2. Each is built
+    from basis-index arithmetic: qubit k is bit n - 1 - k of the index, XX
+    flips both bits, ZZ is the sign of their parity, and Exchange flips
+    them where they differ.
     """
     if i == j:
         raise ValueError("pair_term needs two distinct qubits")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"pair ({i}, {j}) outside register of {n} qubits")
+    index = np.arange(2**n)
+    flipped = index ^ (1 << (n - 1 - i)) ^ (1 << (n - 1 - j))
+    differ = ((index >> (n - 1 - i)) ^ (index >> (n - 1 - j))) & 1
+    out = np.zeros((2**n, 2**n), dtype=complex)
     if kind is CouplingKind.XX:
-        return _embed_pair(SIGMA_X, i, SIGMA_X, j, n)
-    if kind is CouplingKind.ZZ:
-        return _embed_pair(SIGMA_Z, i, SIGMA_Z, j, n)
-    if kind is CouplingKind.EXCHANGE:
-        up = _embed_pair(SIGMA_PLUS, i, SIGMA_MINUS, j, n)
-        down = _embed_pair(SIGMA_MINUS, i, SIGMA_PLUS, j, n)
-        return 0.5 * (up + down)
-    raise ValueError(f"unknown coupling kind {kind!r}")
+        out[flipped, index] = 1.0
+    elif kind is CouplingKind.ZZ:
+        out[index, index] = 1.0 - 2.0 * differ
+    elif kind is CouplingKind.EXCHANGE:
+        hops = differ == 1
+        out[flipped[hops], index[hops]] = 0.5
+    else:
+        raise ValueError(f"unknown coupling kind {kind!r}")
+    return out
 
 
 def build_system_hamiltonian(spec):
@@ -156,18 +144,74 @@ def build_interaction_hamiltonian(spec):
     )
 
 
+# Charges the register Hamiltonian may conserve, finest first: the
+# network's excitation number or parity, with the ancilla uncharged or
+# charged (its bit counts as 0 or 1). The last, no charge, always holds.
+_CHARGES = (
+    ("number", False),
+    ("number", True),
+    ("parity", False),
+    ("parity", True),
+    (None, False),
+)
+
+
+@functools.lru_cache(maxsize=32)
+def _register_charge(charge, n):
+    """Charge of each register basis state, ancilla in slot 0, for one of _CHARGES.
+
+    The first 2**n entries, ancilla |0>, are the network states' charges.
+    The array is cached, so it is read-only.
+    """
+    kind, charged = charge
+    ones = sum((np.arange(2**n) >> k) & 1 for k in range(n)) if kind else np.zeros(2**n, int)
+    labels = np.concatenate([ones, ones + 1 if charged else ones])
+    labels = labels % 2 if kind == "parity" else labels
+    labels.flags.writeable = False
+    return labels
+
+
+def _conserved(m, n):
+    """The _CHARGES that m, a matrix or a stack, never links across: every
+    entry between basis states of different charge is exactly 0. Register
+    matrices are 2**(n+1) wide, network ones 2**n."""
+    *_, rows, cols = np.nonzero(m)
+    kept = []
+    for charge in _CHARGES:
+        labels = _register_charge(charge, n)
+        if (labels[rows] == labels[cols]).all():
+            kept.append(charge)
+    return kept
+
+
 def build_propagator(spec, dt):
     """One-step unitary U = exp(-i (H_system + H_interaction) dt).
 
     Acts on the full register: ancilla in slot 0, network in slots
-    1..n. The result is checked to be unitary within ATOL_UNITARY.
+    1..n. H is exponentiated block by block, a block being the states that
+    share their value of every charge H conserves, so U is exactly 0
+    wherever H is block-diagonal in a charge and the step reads the
+    charges off U. The result is checked to be unitary within ATOL_UNITARY.
     """
     if dt <= 0:
         raise ValueError(f"step duration must be positive, got {dt}")
-    h = np.kron(IDENTITY_2, build_system_hamiltonian(spec))
+    n = spec.topology.n
+    d = 2**n
+    h = np.zeros((2 * d, 2 * d), dtype=complex)
+    h[:d, :d] = h[d:, d:] = build_system_hamiltonian(spec)
+    h += build_interaction_hamiltonian(spec)
+    kept = [_register_charge(charge, n) for charge in _conserved(h, n)]
+    block = np.ravel_multi_index(kept, [n + 2] * len(kept))
+    sizes = np.bincount(block)
+    u = np.zeros_like(h)
     # A huge dt overflows to non-finite entries, which the check below rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = expm_hermitian(h + build_interaction_hamiltonian(spec), -1j * dt)
+        # Blocks of one size are exponentiated as one stack.
+        for size in set(sizes[sizes > 0].tolist()):
+            members = np.flatnonzero(sizes == size)
+            index = np.stack([np.flatnonzero(block == b) for b in members])
+            rows, cols = index[:, :, None], index[:, None, :]
+            u[rows, cols] = expm_hermitian(h[rows, cols], -1j * dt)
         defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     # Written so that a NaN defect fails too: every comparison with NaN is False.
     if not defect <= ATOL_UNITARY:

@@ -285,15 +285,21 @@ def _parse_pairs(value, n):
 def build_protocol(cfg):
     """Resolve a declarative config into (ProtocolConfig, pairs, min_height)."""
     numbers = {key: _parse_number(getattr(cfg, key), key) for key in _NUMBER_KEYS}
+    for key in ("omega0", "omega"):
+        if numbers[key] < 0:
+            raise ValueError(f"config key {key} must be non-negative, got {numbers[key]!r}")
     topology = _parse_topology(cfg.topology)
     n = topology.n
+    target = _parse_qubit(cfg.target, "target")
+    if not 0 <= target < n:
+        raise ValueError(f"config key target {cfg.target!r} is outside the {n}-qubit network")
     spec = NetworkSpec(
         topology=topology,
         system_coupling=_parse_coupling(cfg.system_coupling, "system_coupling"),
         omega0=numbers["omega0"],
         ancilla_coupling=_parse_coupling(cfg.ancilla_coupling, "ancilla_coupling"),
         omega=numbers["omega"],
-        target=_parse_qubit(cfg.target, "target"),
+        target=target,
     )
     mode_key = str(cfg.mode).lower()
     if mode_key not in _MODES:

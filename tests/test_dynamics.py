@@ -1,6 +1,7 @@
 """Step map and protocol loop behaviour."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collisim.dynamics as dynamics_module
+import collisim.network as network_module
 from collisim.dynamics import (
     MAX_RUN_BYTES,
     ProtocolConfig,
@@ -24,6 +26,7 @@ from collisim.linalg import (
     NumericalError,
     density_from_pure,
     expm_hermitian,
+    num_qubits_of,
 )
 from collisim.network import (
     CouplingKind,
@@ -34,7 +37,13 @@ from collisim.network import (
     preset_topology,
 )
 from collisim.runner import PRESETS, ExperimentConfig, build_protocol, preset
-from reference import reference_step, reference_trajectory, step_kraus
+from reference import (
+    ONE_BLOCK,
+    one_block_kraus,
+    one_block_step,
+    reference_step,
+    reference_trajectory,
+)
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 KET_ZERO = np.array([1.0, 0.0])
@@ -77,7 +86,7 @@ class TestCollisionStep:
     def test_identity_leaves_states_alone(self):
         net = density_from_pure(basis_ket(3))
         anc = density_from_pure(KET_PLUS)
-        net_out, anc_out = collision_step(net, step_kraus(np.eye(16), anc))
+        net_out, anc_out = one_block_step(net, np.eye(16), anc)
         assert np.max(np.abs(net_out - net)) < 1e-14
         assert np.max(np.abs(anc_out - anc)) < 1e-14
 
@@ -90,7 +99,7 @@ class TestCollisionStep:
         u = build_propagator(spec, 0.4)
         net = density_from_pure(basis_ket(3))
         anc = density_from_pure(KET_ONE)
-        net_out, anc_out = collision_step(net, step_kraus(u, anc))
+        net_out, anc_out = one_block_step(net, u, anc)
         assert np.max(np.abs(net_out - net)) < 1e-12
         assert np.max(np.abs(anc_out - anc)) < 1e-12
 
@@ -109,7 +118,7 @@ class TestCollisionStep:
                 [np.trace(evolved[8:, :8]), np.trace(evolved[8:, 8:])],
             ]
         )
-        net_out, anc_out = collision_step(net, step_kraus(u, anc))
+        net_out, anc_out = one_block_step(net, u, anc)
         assert np.max(np.abs(net_out - want_net)) < 1e-10
         assert np.max(np.abs(anc_out - want_anc)) < 1e-10
 
@@ -118,25 +127,25 @@ class TestCollisionStep:
         net[0, 0] = np.nan
         anc = density_from_pure(KET_PLUS)
         with pytest.raises(NumericalError):
-            collision_step(net, step_kraus(np.eye(16), anc))
+            one_block_step(net, np.eye(16), anc)
 
 
 class TestStackedStep:
     def test_names_the_bad_state_of_a_stack(self):
-        kraus = step_kraus(build_propagator(make_spec(), 0.4), density_from_pure(KET_PLUS))
-        stacked = tuple(np.stack([op] * 3) for op in kraus)
+        u = np.stack([build_propagator(make_spec(), 0.4)] * 3)
+        anc = np.stack([density_from_pure(KET_PLUS)] * 3)
         nets = np.stack([density_from_pure(basis_ket(3, k)) for k in range(3)])
         nets[1, 0, 0] = np.nan
         with pytest.raises(
             NumericalError, match=r"network state contains non-finite entries \(stack index 1\)"
         ):
-            collision_step(nets, stacked)
+            one_block_step(nets, u, anc)
         nets[1, 0, 0] = 0.0
         nets[2] *= 1.1
         with pytest.raises(
             NumericalError, match=r"beyond budget: hermiticity \S+, trace 0.0999\d* \(stack index 2\)"
         ):
-            collision_step(nets, stacked)
+            one_block_step(nets, u, anc)
 
 
 class TestRunProtocol:
@@ -208,17 +217,33 @@ class TestRunProtocol:
     def test_every_step_recomputable_from_stored_marginals(self):
         # The loop must be exactly the iteration of collision_step on the
         # recorded marginals, with the mode picking the ancilla input.
+        # Sector blocks are read from and written to the dense states; the
+        # exchange chain steps by excitation number, the default as one block.
+        exchange = make_spec(
+            topology=preset_topology("linear3"),
+            system_coupling=CouplingKind.EXCHANGE,
+            ancilla_coupling=CouplingKind.EXCHANGE,
+        )
         for mode in ProtocolMode:
-            cfg = make_config(mode=mode, steps=40)
-            traj = run_protocol(cfg)
-            blocks = propagator_blocks(build_propagator(cfg.spec, cfg.dt))
-            anc0 = traj.ancilla[0]
-            for n in range(1, cfg.steps + 1):
-                anc_in = anc0 if mode is ProtocolMode.COLLISION else traj.ancilla[n - 1]
-                kraus = kraus_operators(blocks, anc_in)
-                net, anc = collision_step(traj.network[n - 1], kraus)
-                assert np.array_equal(net, traj.network[n])
-                assert np.array_equal(anc, traj.ancilla[n])
+            for cfg, charge in (
+                (make_config(mode=mode, steps=40), ONE_BLOCK),
+                (
+                    make_config(spec=exchange, mode=mode, steps=40, ancilla_init=KET_ONE),
+                    ("number", True),
+                ),
+            ):
+                traj = run_protocol(cfg)
+                u = build_propagator(cfg.spec, cfg.dt)[None]
+                partition = dynamics_module._choose_partition(u, traj.network[:1], traj.ancilla[:1])
+                assert partition.charge == charge
+                blocks = propagator_blocks(u, partition)
+                anc0 = traj.ancilla[:1]
+                for n in range(1, cfg.steps + 1):
+                    anc_in = anc0 if mode is ProtocolMode.COLLISION else traj.ancilla[n - 1 : n]
+                    kraus = kraus_operators(blocks, anc_in)
+                    net, anc = collision_step(partition.gather(traj.network[n - 1 : n]), kraus)
+                    assert np.array_equal(net, partition.gather(traj.network[n : n + 1]))
+                    assert np.array_equal(anc, traj.ancilla[n : n + 1])
 
     def test_accepts_density_matrix_inputs(self):
         mixed_net = np.eye(8, dtype=complex) / 8.0
@@ -335,7 +360,7 @@ def random_ancilla(rng, minor):
 
 def kraus_matrices(u, anc):
     """The Kraus operators and their adjoints as (m, d, d) stacks."""
-    stack, adjoint = step_kraus(u, anc)
+    _, [(_, stack, adjoint, _)] = one_block_kraus(u[None], anc[None])
     d = u.shape[0] // 2
     return stack.reshape(-1, d, d), adjoint.reshape(-1, d, d)
 
@@ -368,7 +393,7 @@ class TestKrausChannel:
         u = random_unitary(rng, 2 ** (n_net + 1))
         anc = random_ancilla(rng, minor)
         net = random_density(rng, 2**n_net)
-        got = collision_step(net, step_kraus(u, anc))
+        got = one_block_step(net, u, anc)
         want = reference_step(net, anc, u)
         for rho, ref in zip(got, want):
             assert np.max(np.abs(rho - rho.conj().T)) == 0.0
@@ -438,31 +463,28 @@ class TestStackedKraus:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_net=st.integers(1, 3),
-        lead=st.sampled_from([(1,), (2,), (5,), (2, 3)]),
+        count=st.sampled_from([1, 2, 5]),
         data=st.data(),
     )
-    def test_stack_matches_per_state_calls(self, seed, n_net, lead, data):
+    def test_stack_matches_per_state_calls(self, seed, n_net, count, data):
         # Pure and mixed ancillas share the stack: slot p holds its own m_p
         # operators, then exact zeros up to the stack's largest count.
         rng = np.random.default_rng(seed)
-        count = int(np.prod(lead))
-        us = np.array([random_unitary(rng, 2 ** (n_net + 1)) for _ in range(count)])
+        d = 2**n_net
+        us = np.array([random_unitary(rng, 2 * d) for _ in range(count)])
         ancs = np.array([random_ancilla(rng, data.draw(MINOR_WEIGHTS)) for _ in range(count)])
-        blocks = propagator_blocks(us.reshape(lead + us.shape[1:]))
-        kraus = kraus_operators(blocks, ancs.reshape(lead + (2, 2)))
+        _, [(_, *kraus, _)] = one_block_kraus(us, ancs)
         m = 1
         for p, (u, anc) in enumerate(zip(us, ancs)):
-            index = np.unravel_index(p, lead)
-            alone = propagator_blocks(u)
-            for got, want in zip(blocks, alone):
-                assert np.array_equal(got[index], want)
-            for got, want in zip(kraus, kraus_operators(alone, anc)):
+            _, [(_, *alone, _)] = one_block_kraus(u[None], anc[None])
+            for got, want in zip(kraus, alone):
+                got, want = got[p].reshape(2, -1, d * d), want[0].reshape(2, -1, d * d)
                 m_p = want.shape[1]
                 m = max(m, m_p)
-                assert np.array_equal(got[index][:, :m_p], want)
-                assert not got[index][:, m_p:].any()
+                assert np.array_equal(got[:, :m_p], want)
+                assert not got[:, m_p:].any()
         for ops in kraus:
-            assert ops.shape == lead + (2, m, 4**n_net)
+            assert ops.shape == (count, 1, 2 * m * d, d)
 
 
 class TestStackedRuns:
@@ -565,3 +587,200 @@ class TestModesAgreeForConservingCouplings:
             for mode in ProtocolMode
         ]
         assert np.max(np.abs(runs[0].network - runs[1].network)) <= 1e-10
+
+
+def steps_as_one_block():
+    """Make run_protocols step every stack as one block, as with no charge."""
+    return mock.patch.object(
+        dynamics_module,
+        "_choose_partition",
+        lambda u, net, anc: dynamics_module._partition(ONE_BLOCK, num_qubits_of(net.shape[-1])),
+    )
+
+
+def partition_of(monkeypatch, configs):
+    """The partition run_protocols steps a stack of configs by, and the trajectories."""
+    seen = []
+    blocks = dynamics_module.propagator_blocks
+
+    def spy(u, partition):
+        seen.append(partition)
+        return blocks(u, partition)
+
+    monkeypatch.setattr(dynamics_module, "propagator_blocks", spy)
+    trajectories = run_protocols(configs)
+    return seen[-1], trajectories
+
+
+def chain_protocol(n, mode="repeated", steps=5, **overrides):
+    """chain7_carry's settings on an n-qubit chain, with config keys overridden."""
+    adjacency = [[1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    doc = dict(
+        topology=adjacency, system_coupling="Exchange", ancilla_coupling="Exchange",
+        omega=5.0, target="A", mode=mode, dt=0.4, steps=steps, ancilla_init="1",
+    )
+    doc.update(overrides)
+    return build_protocol(ExperimentConfig(**doc))[0]
+
+
+def sector_sizes(partition):
+    return [len(sector) for sector in partition.sectors]
+
+
+class TestChargeSectors:
+    """The step runs sector by sector where the run keeps a charge."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        system=st.sampled_from(list(CouplingKind)),
+        ancilla=st.sampled_from(list(CouplingKind)),
+        omega=st.floats(0.0, 20.0),
+        dt=st.floats(0.01, 1.0),
+        mode=st.sampled_from(list(ProtocolMode)),
+        excited=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        data=st.data(),
+    )
+    def test_sectors_match_one_block(self, seed, n, system, ancilla, omega, dt, mode, excited, data):
+        # Diagonal ancillas and basis-state networks keep every charge the
+        # couplings conserve, so these runs step by sectors.
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        config = ProtocolConfig(
+            spec=NetworkSpec(
+                topology=Topology(n, upper + upper.T),
+                system_coupling=system,
+                omega0=1.0,
+                ancilla_coupling=ancilla,
+                omega=omega,
+                target=data.draw(st.integers(0, n - 1)),
+            ),
+            mode=mode,
+            dt=dt,
+            steps=20,
+            ancilla_init=np.diag([1.0 - excited, excited]).astype(complex),
+            network_init=basis_ket(n, data.draw(st.integers(0, 2**n - 1))),
+        )
+        traj = run_protocol(config)
+        with steps_as_one_block():
+            dense = run_protocol(config)
+        assert np.max(np.abs(traj.network - dense.network)) <= 1e-12
+        assert np.max(np.abs(traj.ancilla - dense.ancilla)) <= 1e-12
+        for states in (traj.network, traj.ancilla):
+            assert np.array_equal(states, states.conj().swapaxes(-1, -2))
+            assert np.max(np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        points=st.integers(2, 5),
+        system=st.sampled_from(list(CouplingKind)),
+        ancilla=st.sampled_from(list(CouplingKind)),
+        data=st.data(),
+    )
+    def test_stacked_sectors_match_each_run_alone(self, seed, n, points, system, ancilla, data):
+        # Runs that keep the same charge share its sectors in a stack and
+        # step exactly as alone; a stack of runs that keep different ones
+        # steps as one block, within roundoff of each run alone.
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        configs = [
+            ProtocolConfig(
+                spec=NetworkSpec(
+                    topology=Topology(n, upper + upper.T),
+                    system_coupling=system,
+                    omega0=1.0,
+                    ancilla_coupling=ancilla,
+                    omega=data.draw(st.floats(0.0, 20.0)),
+                    target=data.draw(st.integers(0, n - 1)),
+                ),
+                mode=data.draw(st.sampled_from(list(ProtocolMode))),
+                dt=data.draw(st.floats(0.01, 1.0)),
+                steps=12,
+                ancilla_init=np.diag([1.0 - p, p]).astype(complex),
+                network_init=basis_ket(n, data.draw(st.integers(0, 2**n - 1))),
+            )
+            for p in rng.choice([0.0, 1.0, rng.uniform()], size=points)
+        ]
+        charges = {
+            dynamics_module._choose_partition(
+                build_propagator(c.spec, c.dt)[None],
+                density_from_pure(c.network_init)[None],
+                c.ancilla_init[None],
+            ).charge
+            for c in configs
+        }
+        for config, traj in zip(configs, run_protocols(configs)):
+            alone = run_protocol(config)
+            if len(charges) == 1:
+                assert np.array_equal(traj.network, alone.network)
+                assert np.array_equal(traj.ancilla, alone.ancilla)
+            else:
+                assert np.max(np.abs(traj.network - alone.network)) <= 1e-12
+                assert np.max(np.abs(traj.ancilla - alone.ancilla)) <= 1e-12
+
+    def test_carried_chain4_matches_reference(self, monkeypatch):
+        protocol = chain_protocol(4, steps=200)
+        partition, [traj] = partition_of(monkeypatch, [protocol])
+        assert partition.charge == ("number", True)
+        assert sector_sizes(partition) == [1, 4, 6, 4, 1]
+        want = reference_trajectory(protocol, traj.network[0], traj.ancilla[0])
+        for got_net, got_anc, (net, anc) in zip(traj.network, traj.ancilla, want):
+            assert np.max(np.abs(got_net - net)) <= 1e-12
+            assert np.max(np.abs(got_anc - anc)) <= 1e-12
+        # The carried ancilla goes mixed and stays exactly diagonal.
+        assert traj.ancilla[-1, 0, 0] > 0.0
+        assert not traj.ancilla[:, [0, 1], [1, 0]].any()
+
+    def test_chain7_steps_by_excitation_number(self, monkeypatch):
+        partition, _ = partition_of(monkeypatch, [chain_protocol(7)])
+        assert partition.charge == ("number", True)
+        assert sector_sizes(partition) == [1, 7, 21, 35, 35, 21, 7, 1]
+
+    def test_fig2_cm_steps_by_parity(self, monkeypatch):
+        partition, _ = partition_of(monkeypatch, [build_protocol(preset("fig2_cm"))[0]])
+        assert partition.charge == ("parity", False)
+        assert sector_sizes(partition) == [4, 4]
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            lambda: chain_protocol(3, ancilla_init="+"),
+            lambda: chain_protocol(7, ancilla_coupling="XX", ancilla_init="+"),
+            lambda: build_protocol(preset("fig6"))[0],
+            lambda: dataclasses.replace(
+                chain_protocol(3), network_init=random_density(np.random.default_rng(5), 8)
+            ),
+        ],
+        ids=["plus-ancilla-exchange", "chain7-fig6-couplings", "fig6", "mixed-network"],
+    )
+    def test_runs_without_a_kept_charge_step_as_one_block(self, monkeypatch, protocol):
+        partition, _ = partition_of(monkeypatch, [protocol()])
+        assert partition.charge == ONE_BLOCK
+        assert partition.index is None
+
+    def test_mixed_partition_stack_steps_as_one_block(self, monkeypatch):
+        # Alone, the first run steps by excitation number and the second as
+        # one block; together they share only the one block.
+        configs = [chain_protocol(4, steps=60), chain_protocol(4, steps=60, ancilla_coupling="XX", ancilla_init="+")]
+        assert partition_of(monkeypatch, configs[:1])[0].charge == ("number", True)
+        partition, trajectories = partition_of(monkeypatch, configs)
+        assert partition.charge == ONE_BLOCK
+        for config, traj in zip(configs, trajectories):
+            alone = run_protocol(config)
+            assert np.max(np.abs(traj.network - alone.network)) <= 1e-12
+            assert np.max(np.abs(traj.ancilla - alone.ancilla)) <= 1e-12
+
+    def test_hamiltonian_is_built_once_per_run(self, monkeypatch):
+        builds = []
+        build = network_module.build_system_hamiltonian
+
+        def counted(spec):
+            builds.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(network_module, "build_system_hamiltonian", counted)
+        run_protocols([chain_protocol(4), chain_protocol(4, omega=3.0)])
+        assert len(builds) == 2

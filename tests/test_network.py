@@ -16,6 +16,7 @@ from collisim.network import (
     preset_topology,
     qubit_label,
 )
+from reference import kron_pair_term
 
 
 def ket(bits):
@@ -124,6 +125,16 @@ class TestPairTerm:
             a = pair_term(kind, 1, 3, 4)
             b = pair_term(kind, 3, 1, 4)
             assert np.allclose(a, b)
+
+    def test_matches_kron_chains_exactly(self):
+        # Basis-index arithmetic gives the np.kron result entry for entry.
+        for n in (3, 4, 8):
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    for kind in CouplingKind:
+                        assert np.array_equal(pair_term(kind, i, j, n), kron_pair_term(kind, i, j, n))
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
