@@ -3,13 +3,18 @@
 Concurrence follows the spin-flip construction: with
 rhotilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y), the measure
 is max(0, mu1 - mu2 - mu3 - mu4) where the mu_i are the decreasingly
-sorted square roots of the eigenvalues of rho rhotilde. Reductions and
-concurrence take stacks of states, (..., d, d), so a whole trajectory is
-analyzed without a per-step loop.
+sorted square roots of the eigenvalues of rho rhotilde. An X state, one
+whose eight entries off the diagonal and the anti-diagonal are exactly 0,
+takes the closed form 2 max(0, |rho12| - sqrt(rho00 rho33),
+|rho03| - sqrt(rho11 rho22)) instead; every two-qubit reduction of a run
+that conserves parity or excitation number is one. Both routes agree to
+roundoff. Reductions and concurrence take stacks of states, (..., d, d),
+so a whole trajectory is analyzed without a per-step loop.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,12 @@ from .linalg import (
 # sigma_y x sigma_y is real, which keeps the spin flip cheap.
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real
 
+# Flat indices of the eight entries of a 4x4 state on its X, the diagonal
+# and the anti-diagonal, as rho00, rho11, rho33, rho22, rho03, rho12,
+# rho30, rho21; and of the eight entries off it.
+_X = np.array([0, 5, 15, 10, 3, 6, 12, 9])
+_OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
+
 # Tie margin when ranking Bell-state fidelities: differences below this
 # are treated as equal and resolved by catalog order.
 FIDELITY_TIE = 1e-9
@@ -35,10 +46,65 @@ def concurrence(rho):
     """Wootters concurrence of a two-qubit density matrix.
 
     rho is a 4x4 state, for which a float is returned, or a stack of them
-    with shape (..., 4, 4), for which an array of shape (...) is returned;
-    a stack takes one eigh and one svd call for all its states. Every
-    state must pass the PSD floor and the trace check; for a stack the
-    error names the index of the first state that fails.
+    with shape (..., 4, 4), for which an array of shape (...) is returned.
+    X states take the closed form (see _x_route); the others take one
+    eigh and one svd call for all of them (see _general_route). Every
+    state must be finite and pass the PSD floor and the trace check; for
+    a stack the error names the index of the first state that fails.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"concurrence is defined for 4x4 states, got {rho.shape}")
+    stack = rho.shape[:-2]
+    flat = rho.reshape(-1, 16)
+    finite = np.isfinite(flat).all(axis=-1).reshape(stack)
+    if not finite.all():
+        where, _ = first_flagged(~finite, finite)
+        raise NumericalError(f"state contains non-finite entries{where}")
+    # The closed form runs on every state, and the states off the X then
+    # overwrite their entries with the general route's.
+    lowest, traces, c = _x_route(flat)
+    off_x = flat[:, _OFF_X].any(axis=-1)
+    if off_x.any():
+        lowest[off_x], traces[off_x], c[off_x] = _general_route(flat[off_x].reshape(-1, 4, 4))
+    lowest, traces, c = (a.reshape(stack) for a in (lowest, traces, c))
+    # Written so that a NaN fails too: every comparison with NaN is False.
+    fine = -PSD_SLACK <= lowest
+    if not fine.all():
+        where, value = first_flagged(~fine, lowest)
+        raise NumericalError(f"state eigenvalue {value} below -{PSD_SLACK}{where}")
+    fine = np.abs(traces - 1.0) <= 1e-8
+    if not fine.all():
+        where, value = first_flagged(~fine, traces)
+        raise ValueError(f"state trace {value} is not 1{where}")
+    return float(c) if c.ndim == 0 else c
+
+
+def _x_route(flat):
+    """(lowest eigenvalue, trace, concurrence) of (k, 16) rows read as X
+    states: only the diagonal and anti-diagonal entries are used.
+
+    An X state is two 2x2 blocks, [[p00, w], [w*, p33]] on |00>, |11> and
+    [[p11, z], [z*, p22]] on |01>, |10>, with w and z taken from the
+    hermitized state. A block [[p, v], [v*, q]] has lowest eigenvalue
+    (p + q)/2 - hypot((p - q)/2, |v|), and the concurrence is
+    2 max(0, |z| - sqrt(p00 p33), |w| - sqrt(p11 p22)).
+    """
+    x = flat[:, _X]
+    # Column 0 of each pair holds the |00>, |11> block and column 1 the
+    # |01>, |10> one.
+    p, q = x[:, 0:2].real, x[:, 2:4].real
+    coherence = np.abs(x[:, 4:6] + x[:, 6:8].conj()) / 2.0
+    diagonal = p + q
+    lowest = (diagonal / 2.0 - np.hypot((p - q) / 2.0, coherence)).min(axis=-1)
+    # Clipping keeps the roots real for entries within the PSD slack.
+    roots = np.sqrt(np.maximum(p, 0.0) * np.maximum(q, 0.0))
+    c = 2.0 * np.maximum(0.0, (coherence - roots[:, ::-1]).max(axis=-1))
+    return lowest, diagonal.sum(axis=-1), c
+
+
+def _general_route(rho):
+    """(lowest eigenvalue, trace, concurrence) of (k, 4, 4) states.
 
     Computed in a square-root-free form: factor rho = L L^dagger from its
     eigendecomposition; the spectrum of rho rhotilde equals that of
@@ -47,24 +113,11 @@ def concurrence(rho):
     near-zero roots at machine precision, where eigenvalues of rho
     rhotilde followed by a square root would lose half the digits.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"concurrence is defined for 4x4 states, got {rho.shape}")
     w, v = np.linalg.eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
-    lowest = w[..., 0]
-    negative = lowest < -PSD_SLACK
-    if np.any(negative):
-        where, value = first_flagged(negative, lowest)
-        raise NumericalError(f"state eigenvalue {value} below -{PSD_SLACK}{where}")
-    traces = w.sum(axis=-1)
-    off = np.abs(traces - 1.0) > 1e-8
-    if np.any(off):
-        where, value = first_flagged(off, traces)
-        raise ValueError(f"state trace {value} is not 1{where}")
     left = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     mu = np.linalg.svd(left.swapaxes(-1, -2) @ _YY @ left, compute_uv=False)
-    c = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
-    return float(c) if c.ndim == 0 else c
+    c = np.maximum(0.0, mu[:, 0] - mu[:, 1] - mu[:, 2] - mu[:, 3])
+    return w[:, 0], w.sum(axis=-1), c
 
 
 def fidelity(rho, target):
@@ -76,6 +129,8 @@ def fidelity(rho, target):
             f"state shape {rho.shape} does not match target of length {vec.shape[0]}"
         )
     value = complex(vec.conj() @ rho @ vec)
+    if not cmath.isfinite(value):
+        raise NumericalError(f"fidelity {value} is not finite")
     if abs(value.imag) >= ATOL_STATE:
         raise NumericalError(f"fidelity has imaginary residue {value.imag}")
     return float(value.real)
@@ -174,18 +229,16 @@ def find_peaks(series, min_height):
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 3:
         raise ValueError("peak finding needs a 1-d series of length >= 3")
-    peaks = []
-    i = 1
-    while i < arr.shape[0] - 1:
-        j = i
-        while j + 1 < arr.shape[0] and arr[j + 1] == arr[i]:
-            j += 1
-        if arr[i - 1] < arr[i] and j + 1 < arr.shape[0] and arr[j + 1] < arr[i]:
-            if arr[i] >= min_height:
-                peaks.append((i, float(arr[i])))
-        i = j + 1
-    peaks.sort(key=lambda p: (-p[1], p[0]))
-    return peaks
+    # Starts of the runs of equal values after the first run; each run ends
+    # right before the next one starts. NaN equals nothing, so each NaN is
+    # a run of its own and never a peak.
+    starts = np.flatnonzero(arr[1:] != arr[:-1]) + 1
+    start, after = starts[:-1], starts[1:]
+    top = arr[start]
+    keep = (arr[start - 1] < top) & (arr[after] < top) & (top >= min_height)
+    index, value = start[keep], top[keep]
+    order = np.lexsort((index, -value))
+    return [(int(i), float(v)) for i, v in zip(index[order], value[order])]
 
 
 def characterize_peak(rho_pair):

@@ -15,6 +15,11 @@ two for exact equality.
 
 spin_flip and eigvals_general give concurrence's textbook eigenvalue
 route, which cross-checks the library's singular-value form.
+eigh_concurrence is that singular-value form on its own, the route every
+state took before X states got their closed form.
+
+loop_find_peaks is find_peaks as a scan over runs of equal values, as it
+was before the runs came from one comparison of neighbours.
 """
 
 import numpy as np
@@ -54,6 +59,33 @@ def eigvals_general(m):
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def eigh_concurrence(rho):
+    """Concurrence of one 4x4 state from the singular values of
+    L^T (sigma_y x sigma_y) L, with rho = L L^dagger from eigh."""
+    rho = np.asarray(rho, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    left = v * np.sqrt(np.clip(w, 0.0, None))
+    mu = np.linalg.svd(left.T @ _YY @ left, compute_uv=False)
+    return max(0.0, mu[0] - mu[1] - mu[2] - mu[3])
+
+
+def loop_find_peaks(series, min_height):
+    """find_peaks's (index, value) list, by a scan over runs of equal values."""
+    arr = np.asarray(series, dtype=float)
+    peaks = []
+    i = 1
+    while i < arr.shape[0] - 1:
+        j = i
+        while j + 1 < arr.shape[0] and arr[j + 1] == arr[i]:
+            j += 1
+        if arr[i - 1] < arr[i] and j + 1 < arr.shape[0] and arr[j + 1] < arr[i]:
+            if arr[i] >= min_height:
+                peaks.append((i, float(arr[i])))
+        i = j + 1
+    peaks.sort(key=lambda p: (-p[1], p[0]))
+    return peaks
 
 
 ONE_BLOCK = (None, False)

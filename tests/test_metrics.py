@@ -19,7 +19,8 @@ from collisim.metrics import (
     reduced_pair,
 )
 from collisim.network import CouplingKind, NetworkSpec, preset_topology
-from reference import eigvals_general, spin_flip
+from collisim.runner import build_protocol, config_from_dict, preset
+from reference import eigh_concurrence, eigvals_general, loop_find_peaks, spin_flip
 
 RT2 = 1.0 / np.sqrt(2.0)
 PHI_PLUS = np.array([RT2, 0, 0, RT2], dtype=complex)
@@ -50,6 +51,40 @@ def pure_concurrence_oracle(ket):
         np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])
     )
     return abs(ket @ yy @ ket)
+
+
+def x_state(block_a, block_b):
+    """4x4 state with block_a on |00>, |11> and block_b on |01>, |10>, unit trace."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[np.ix_([0, 3], [0, 3])] = block_a
+    rho[np.ix_([1, 2], [1, 2])] = block_b
+    return rho / np.trace(rho).real
+
+
+def random_block(rng, rank):
+    """Random 2x2 PSD block of the given rank (0, 1 or 2)."""
+    a = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+    return a @ a.conj().T
+
+
+def random_x_state(rng, kind):
+    """Random X state: "blocks" of rank 1..4, "product", "bell" or "number"."""
+    if kind == "blocks":
+        rank_a = int(rng.integers(0, 3))
+        rank_b = int(rng.integers(1 if rank_a == 0 else 0, 3))
+        return x_state(random_block(rng, rank_a), random_block(rng, rank_b))
+    if kind == "product":
+        # A product of two diagonal qubit states, pure when p and q are 0 or 1.
+        p, q = rng.choice([0.0, 1.0, rng.uniform()], size=2)
+        return np.diag(np.kron([p, 1.0 - p], [q, 1.0 - q])).astype(complex)
+    if kind == "bell":
+        phase = rng.choice([1.0, -1.0, 1j, -1j])
+        coherent = np.array([[1.0, phase], [np.conj(phase), 1.0]])
+        empty = np.zeros((2, 2))
+        return x_state(coherent, empty) if rng.uniform() < 0.5 else x_state(empty, coherent)
+    # Number-shaped: |00> and |11> do not mix, so rho03 = 0.
+    diagonal = np.diag(rng.uniform(size=2))
+    return x_state(diagonal, random_block(rng, int(rng.integers(1, 3))))
 
 
 def werner_state(p):
@@ -170,27 +205,98 @@ class TestStackedConcurrence:
             assert isinstance(single, float)
             assert got[i] == single
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(1, 20),
         data=st.data(),
-        bad=st.sampled_from(["negative", "trace"]),
+        bad=st.sampled_from(["negative", "trace", "nan"]),
+        x_route=st.booleans(),
     )
-    def test_bad_state_is_named_by_index(self, seed, size, data, bad):
+    def test_bad_state_is_named_by_index(self, seed, size, data, bad, x_route):
         rng = np.random.default_rng(seed)
         stack = np.array(
             [random_density(rng, 4, rank=int(rng.integers(1, 5))) for _ in range(size)]
         )
         index = data.draw(st.integers(0, size - 1))
         if bad == "negative":
-            stack[index] = np.diag([1.1, -0.1, 0.0, 0.0])
-            error = NumericalError
+            if x_route:
+                # Either block, with a negative diagonal entry or a coherence
+                # too large for its diagonal: eigenvalues 1.1 and -0.1.
+                block = data.draw(
+                    st.sampled_from([np.diag([1.1, -0.1]), np.array([[0.5, 0.6j], [-0.6j, 0.5]])])
+                )
+                blocks = (block, np.zeros((2, 2)))
+                stack[index] = x_state(*(blocks if data.draw(st.booleans()) else blocks[::-1]))
+            else:
+                # 1.2 |a><a| - 0.2 |b><b| for orthogonal a, b has eigenvalue -0.2.
+                a, b = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0].T
+                stack[index] = 1.2 * density_from_pure(a) - 0.2 * density_from_pure(b)
+            error, message = NumericalError, "state eigenvalue"
+        elif bad == "trace":
+            stack[index] = np.eye(4) / 2.0 if x_route else 2.0 * stack[index]
+            error, message = ValueError, "state trace"
         else:
-            stack[index] = np.eye(4) / 2.0
-            error = ValueError
-        with pytest.raises(error, match=rf"\(stack index {index}\)"):
+            if x_route:
+                stack[index] = np.diag([np.nan, 0.5, 0.5, 0.0])
+            else:
+                stack[index, 0, 2] = np.nan
+            error, message = NumericalError, "state contains non-finite entries"
+        with pytest.raises(error, match=rf"{message} .*\(stack index {index}\)"):
             concurrence(stack)
+        with pytest.raises(error, match=message):
+            concurrence(stack[index])
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize(
+        "block", [np.diag([1.1, -0.1]), np.array([[0.5, 0.6j], [-0.6j, 0.5]])]
+    )
+    def test_negative_x_state_in_either_block(self, block, first):
+        blocks = (block, np.zeros((2, 2)))
+        rho = x_state(*(blocks if first else blocks[::-1]))
+        stack = np.array([np.eye(4) / 4.0, rho, density_from_pure(PHI_PLUS)])
+        with pytest.raises(NumericalError, match=r"eigenvalue -0\.\d+ .*\(stack index 1\)"):
+            concurrence(stack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["blocks", "product", "bell", "number"]),
+    )
+    def test_x_states_match_eigh_route(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        rho = random_x_state(rng, kind)
+        # A local unitary on one qubit mixes the X's entries with the rest,
+        # so the same concurrence must also come out of the general route.
+        u = np.kron(random_unitary(rng, 2), np.eye(2))
+        rotated = u @ rho @ u.conj().T
+        want = eigh_concurrence(rho)
+        assert abs(concurrence(rho) - want) < 1e-12
+        assert abs(concurrence(rotated) - want) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(
+            st.sampled_from(["blocks", "product", "bell", "number", "dense"]),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_mixed_stack_matches_single_state_calls(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        stack = np.array(
+            [
+                random_density(rng, 4, rank=int(rng.integers(1, 5)))
+                if kind == "dense"
+                else random_x_state(rng, kind)
+                for kind in kinds
+            ]
+        )
+        got = concurrence(stack)
+        assert got.shape == (len(kinds),)
+        for i in range(len(kinds)):
+            assert got[i] == concurrence(stack[i])
 
     def test_several_leading_axes(self):
         rng = np.random.default_rng(37)
@@ -227,6 +333,16 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(np.eye(2) / 2.0, PHI_PLUS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, bad):
+        rho = density_from_pure(PHI_PLUS)
+        rho[3, 3] = bad
+        # An infinite entry times a zero amplitude is NaN, which numpy warns of.
+        with np.errstate(invalid="ignore"):
+            for state in (np.full((4, 4), bad), rho):
+                with pytest.raises(NumericalError, match="not finite"):
+                    fidelity(state, PHI_PLUS)
 
     def test_entanglement_witness_threshold(self):
         # Bell-state fidelity above 1/2 certifies entanglement; check along
@@ -367,6 +483,38 @@ class TestPairConcurrences:
             want = concurrence(reduced_pair(state, (1, 2), 3))
             assert table[row, 0] == want
 
+    def test_charge_conserving_runs_skip_lapack(self, monkeypatch):
+        # Parity (fig2_cm) and excitation-number (exchange chain) runs give
+        # X-shaped reductions only, which take the closed form; fig6 keeps
+        # no charge and still reaches the eigh route.
+        chain = config_from_dict(
+            dict(
+                topology=[[1 if abs(i - j) == 1 else 0 for j in range(4)] for i in range(4)],
+                system_coupling="Exchange", ancilla_coupling="Exchange", omega=5.0,
+                target="A", mode="repeated", dt=0.4, steps=40, ancilla_init="1",
+            )
+        )
+        trajectories = {
+            name: run_protocol(build_protocol(cfg)[0])
+            for name, cfg in (("fig2_cm", preset("fig2_cm")), ("chain4", chain), ("fig6", preset("fig6")))
+        }
+        tables = {name: pair_concurrences(traj)[1] for name, traj in trajectories.items()}
+
+        class LapackCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise LapackCalled
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for name in ("fig2_cm", "chain4"):
+            _, table = pair_concurrences(trajectories[name])
+            assert np.array_equal(table, tables[name])
+            assert table.max() > 0.1
+        with pytest.raises(LapackCalled):
+            pair_concurrences(trajectories["fig6"])
+
     def test_all_pairs_helper(self):
         assert all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
         assert all_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -401,6 +549,35 @@ class TestFindPeaks:
     def test_too_short(self):
         with pytest.raises(ValueError):
             find_peaks([0.0, 1.0], 0.0)
+
+    def test_nan_is_never_a_peak_or_a_plateau(self):
+        nan = float("nan")
+        assert find_peaks([0.0, nan, 0.0], 0.0) == []
+        assert find_peaks([0.0, 1.0, nan, 0.0, 0.5, 0.0], 0.0) == [(4, 0.5)]
+        assert find_peaks([nan, 1.0, 0.0], 0.0) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf]),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                ),
+                st.integers(1, 8),
+            ),
+            min_size=1,
+            max_size=80,
+        ).map(lambda runs: [value for value, length in runs for _ in range(length)][:300])
+        .filter(lambda series: len(series) >= 3),
+        min_height=st.sampled_from([-np.inf, 0.0, 0.25, 0.5, 1.0, np.nan]),
+    )
+    def test_matches_loop_reference(self, runs, min_height):
+        got = find_peaks(runs, min_height)
+        want = loop_find_peaks(runs, min_height)
+        # repr tells -0.0 from 0.0 and int from numpy integer types.
+        assert repr(got) == repr(want)
+        assert all(type(i) is int and type(v) is float for i, v in got)
 
 
 class TestCharacterizePeak:
