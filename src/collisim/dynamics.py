@@ -3,26 +3,25 @@
 Each step couples the network to the incoming ancilla through the joint
 propagator U for a duration dt and then re-factorizes, so any correlation
 built up between ancilla and network within a step is dropped. That makes
-one step a completely positive, trace-preserving map on the network, which
-is applied in operator-sum form without ever forming the joint register:
+one step the completely positive, trace-preserving map
 
-    rho' = sum_{j,m} K_jm rho K_jm^dagger,
-    K_jm = sqrt(w_m) sum_a v_am U_ja,
+    rho' = Tr_anc[U (eta x rho) U^dagger] = sum_{j,a,b} eta_ab U_ja rho U_jb^dagger,
 
-where U_ja = <j|U|a> are the network-sized blocks of U (ancilla in slot
-0) and (w_m, v_m) is the eigendecomposition of the incoming ancilla
-state. A pure ancilla gives two Kraus operators, a mixed one four; a
-charged ancilla (below) keeps all four. The post-step ancilla comes from
-the same operators, anc'_jk = sum_m tr(K_jm rho K_km^dagger). Both
-marginals are then hermitized and renormalized, and a step that needs
+which is linear in the incoming ancilla state eta and is applied without
+ever forming the joint register. U_ja = <j|U|a> are the network-sized
+blocks of U (ancilla in slot 0). The step takes X_ja = U_ja rho for the
+fixed blocks, mixes them by eta's entries, Y_jb = eta_0b X_j0 + eta_1b X_j1,
+and closes the sandwich as rho' = sum_{j,b} Y_jb U_jb^dagger. The post-step
+ancilla comes from the same products, anc'_jk = sum_b tr(Y_jb U_kb^dagger).
+Both marginals are then hermitized and renormalized, and a step that needs
 more than MAX_STEP_CORRECTION of repair aborts the run.
 
-The two protocol modes differ only in what is fed to the next step:
-Collision resets the ancilla to its initial state, so its Kraus operators
-are built once per run, while RepeatedInteraction carries the post-step
-ancilla marginal forward. The run loop makes that choice and checks its
-inputs once, at entry; U's unitarity is verified by build_propagator, and
-collision_step itself checks nothing but its outputs.
+The two protocol modes differ only in which eta is fed to the next step:
+Collision resets the ancilla to its initial state, while
+RepeatedInteraction carries the post-step ancilla marginal forward. The
+run loop makes that choice and checks its inputs once, at entry; U's
+unitarity is verified by build_propagator, and collision_step itself
+checks nothing but its outputs.
 
 The step works on a charge partition of the network basis. When the
 register Hamiltonian conserves a charge Q = q_anc + Q_net, each block U_ja
@@ -33,19 +32,19 @@ parity, each with the ancilla uncharged (q = 0) or charged (q = 0, 1). A
 charge holds for a run when U is exactly 0 between charges
 (build_propagator leaves it so wherever H is), the initial network state
 is exactly block-diagonal, and, for a charged ancilla, the ancilla state
-is exactly diagonal; a carried charged ancilla then stays exactly
-diagonal. A run that keeps no charge, and a stack whose runs keep no
-charge in common, is stepped as one block: the same kernel with one
-sector. Sandwiches of one shape run as one batched product.
+is exactly diagonal, so Y_ja = eta_aa X_ja and only the ancilla's diagonal
+is filled; a carried charged ancilla then stays exactly diagonal. A run
+that keeps no charge, and a stack whose runs keep no charge in common, is
+stepped as one block: the same kernel with one sector. Sandwiches of one
+shape run as one batched product.
 
-The step and its Kraus builders take stacks and treat each state as they
-would alone. run_protocols steps P runs of one size together, with one
-set of Kraus operators for the whole stack, rebuilt in one call when any
-carried ancilla moves; run_protocol is its case P = 1. Only the current
-step's blocks are kept; each step scatters them into one Trajectory per
-run, which stays dense: a (steps + 1, d, d) array of network states,
-exactly 0 between sectors, and a (steps + 1, 2, 2) array of ancilla
-states, allocated before the first step and filled in place.
+The step takes stacks and treats each state as it would alone.
+run_protocols steps P runs of one size together through one set of
+propagator blocks, built once; run_protocol is its case P = 1. Only the
+current step's blocks are kept; each step scatters them into one
+Trajectory per run, which stays dense: a (steps + 1, d, d) array of
+network states, exactly 0 between sectors, and a (steps + 1, 2, 2) array
+of ancilla states, allocated before the first step and filled in place.
 ProtocolConfig bounds one run's size by MAX_RUN_BYTES before anything is
 allocated; sweep keeps its stacks within MAX_STACK_BYTES.
 """
@@ -77,10 +76,6 @@ from .network import _CHARGES, NetworkSpec, _conserved, _register_charge, build_
 # if it ever has to move a state by more than this, the run is aborted
 # rather than silently repaired.
 MAX_STEP_CORRECTION = 1e-8
-
-# Ancilla eigenvalues at or below this are roundoff on a pure state; their
-# Kraus operators are dropped, so a pure ancilla costs two operators, not four.
-_WEIGHT_FLOOR = 1e-14
 
 # The propagator blocks U_ja = <j|U|a> as (j, a), those that keep the
 # ancilla state first.
@@ -333,20 +328,18 @@ def _reject(flat, transpose, diagonal, what):
         )
 
 
-class _Group(
-    namedtuple("_Group", "s_class s_pos t_class t_pos b_t b_s u u_adj ja diagonal shapes")
-):
+class _Group(namedtuple("_Group", "s_class s_pos t_class t_pos u u_adj ja diagonal")):
     """Step sandwiches of one shape, from S sectors of charge q to charge t.
 
     The sectors are positions s_pos of class s_class and t_pos of class
-    t_class, None for a whole class in order; no two share a target. u and
-    u_adj hold the propagator blocks U_ja restricted to each sector pair,
-    (P, S, J, A, b_t * b_s), and their adjoints, (P, S, J, A, b_s * b_t):
-    for an uncharged ancilla j and a each run over 0 and 1; for a charged
-    one each of the J operators has its own (j, a), A = 1, listed in ja
-    (S, J, 2). For a charged ancilla, diagonal is the (2, S*J) 0/1 matrix
-    that adds each operator's weight to the ancilla entry (j, j). shapes
-    maps the Kraus count m to the array shapes the step works in.
+    t_class, None for a whole class in order; no two share a target. u
+    holds the propagator blocks U_ja restricted to each sector pair,
+    (P, S, J, A, b_t, b_s), and u_adj their adjoints as one vertical stack
+    per sector pair, (P, S, J*A*b_s, b_t): for an uncharged ancilla j and
+    a each run over 0 and 1; for a charged one each of the J blocks has
+    its own (j, a), A = 1, listed in ja (S, J, 2). For a charged ancilla,
+    diagonal is the (2, S*J) 0/1 matrix that adds each block's part to
+    the ancilla entry (j, j).
     """
 
     __slots__ = ()
@@ -384,7 +377,7 @@ def propagator_blocks(u, partition):
         else:
             bins.append([((q, t), ja)])
     groups = []
-    for (b_t, b_s, _), bins in grouped.items():
+    for bins in grouped.values():
         for members in bins:
             src = np.array([partition.sectors[q] for (q, _), _ in members])
             dst = np.array([partition.sectors[t] for (_, t), _ in members])
@@ -395,45 +388,22 @@ def propagator_blocks(u, partition):
                 js, avals = np.array([[[0], [1]]]), np.array([[[0, 1]]])
             rows = js[..., None, None] * d + dst[:, None, None, :, None]
             cols = avals[..., None, None] * d + src[:, None, None, None, :]
-            shape = (len(u), len(members)) + np.broadcast_shapes(js.shape, avals.shape)[1:] + (-1,)
-            # Per Kraus count m: the shapes of the operators, their adjoints
-            # and the products, and of the operator pairs whose traces make
-            # the ancilla, (j, m) with (k, m) or each charged one with itself.
-            p, s, j = shape[:3]
-            shapes = {}
-            for m in (1, 2):
-                ops = j * m
-                pairs = [(p, s * ops, -1)] * 2 if partition.charge[1] else [
-                    (p, s, 1, 2, -1),
-                    (p, s, 2, 1, -1),
-                ]
-                shapes[m] = (
-                    (p, s, ops * b_t, b_s),
-                    (p, s, ops * b_s, b_t),
-                    (p, s, ops, b_t, b_s),
-                    (p, s, b_t, ops * b_s),
-                    *pairs,
-                )
             s_class, s_pos = zip(*[home[q] for (q, _), _ in members])
             t_class, t_pos = zip(*[home[t] for (_, t), _ in members])
-            t_pos = _positions(t_pos, partition.classes[t_class[0]])
             groups.append(
                 _Group(
                     s_class[0],
                     _positions(s_pos, partition.classes[s_class[0]]),
                     t_class[0],
-                    t_pos,
-                    b_t,
-                    b_s,
+                    _positions(t_pos, partition.classes[t_class[0]]),
                     # Mixed slice and fancy indexing leaves the run axis
                     # inside; a strided array would round differently.
-                    np.ascontiguousarray(u[:, rows, cols]).reshape(shape),
+                    np.ascontiguousarray(u[:, rows, cols]),
                     np.ascontiguousarray(
                         u[:, rows.swapaxes(-1, -2), cols.swapaxes(-1, -2)].conj()
-                    ).reshape(shape),
+                    ).reshape(len(u), len(members), -1, dst.shape[1]),
                     ja,
                     (ja[:, :, 0].ravel() == [[0], [1]]) if partition.charge[1] else None,
-                    shapes,
                 )
             )
     # Groups that cover a whole class go first, so the step can take the
@@ -447,64 +417,36 @@ def _positions(pos, cls):
     return None if list(pos) == list(range(len(cls[1]))) else np.array(pos)
 
 
-def kraus_operators(blocks, anc):
-    """Kraus operators of the step channel for a (P, 2, 2) stack of ancillas.
+def collision_step(net, blocks, anc):
+    """One collision as a channel on the network, linear in the incoming ancilla.
 
-    blocks is the output of propagator_blocks. Returns (partition, steps),
-    one step per _Group: the group, its (P, S, J*m*b_t, b_s)
-    operators K_jm = sum_a v_am U_ja restricted to the group's sector
-    pairs, and their (P, S, J*m*b_s, b_t) adjoints.
-
-    An uncharged ancilla gives each run its eigendecomposition (w_m, v_m):
-    m is the largest count in the stack, a pure state's one operator comes
-    first and zero operators pad its slot. A charged ancilla is diagonal,
-    so each of the four operators is sqrt(p_a) U_ja, zero for a weight at
-    or below the floor; they keep their layout whatever the weights, so a
-    run steps the same alone as in any stack.
+    net is the (P, N) array of a stack's sector blocks, blocks the
+    (partition, groups) pair from propagator_blocks, and anc the (P, 2, 2)
+    incoming ancilla states. Returns the post-step (network blocks,
+    ancilla) marginals, (P, N) and (P, 2, 2), each run cleaned up to exact
+    hermiticity and unit trace.
     """
     partition, groups = blocks
     charged = partition.charge[1]
-    if charged:
-        weights = anc[:, [0, 1], [0, 1]].real
-        amps = np.where(weights > _WEIGHT_FLOOR, np.sqrt(weights.clip(0.0)), 0.0)
-    else:
-        # Weights come ascending and sum to one, so only the first can be
-        # roundoff on a pure state; its operator becomes zero and goes last.
-        w, v = np.linalg.eigh(anc)
-        kept = (w > _WEIGHT_FLOOR)[..., None]
-        amps = np.where(kept, v.swapaxes(-1, -2) * np.sqrt(w.clip(0.0))[..., None], 0.0)
-        amps = np.where(kept[..., :1, :], amps, amps[..., ::-1, :])
-        if not kept[..., 0, :].any():
-            amps = amps[..., :1, :]
-        # A strided array would take another matmul path and round differently.
-        amps = np.ascontiguousarray(amps[:, None, None])
-    steps = []
-    for g in groups:
-        a = np.take(amps, g.ja[:, :, 1], axis=1)[..., None, None] if charged else amps
-        shapes = g.shapes[a.shape[-2]]
-        stack = (a @ g.u).reshape(shapes[0])
-        steps.append((g, stack, (a.conj() @ g.u_adj).reshape(shapes[1]), shapes[2:]))
-    return partition, steps
-
-
-def collision_step(net, kraus):
-    """One collision as a channel on the network, in operator-sum form.
-
-    net is the (P, N) array of a stack's sector blocks, and kraus the
-    (partition, steps) pair from kraus_operators for the incoming ancillas.
-    Returns the post-step (network blocks, ancilla) marginals, (P, N) and
-    (P, 2, 2), each run cleaned up to exact hermiticity and unit trace.
-    """
-    partition, steps = kraus
+    # A charged ancilla is diagonal, so each block's eta is its weight eta_aa.
+    eta = anc[:, [0, 1], [0, 1]].real if charged else anc[:, None, None]
     rho = [net[:, columns].reshape(shape) for columns, shape in partition.views]
     out = [None] * len(rho)
-    anc = None
-    for g, stack, adjoint, (split, joined, pair_k, pair_applied) in steps:
+    anc_out = None
+    for g in groups:
+        p, s, j, a, b_t, b_s = g.u.shape
         state = rho[g.s_class] if g.s_pos is None else np.take(rho[g.s_class], g.s_pos, axis=1)
-        # K rho for every Kraus operator in one product, then
-        # sum_i (K_i rho) K_i^dagger = hstack(K rho) @ vstack(K^dagger).
-        applied = stack @ state
-        sandwich = applied.reshape(split).swapaxes(-3, -2).reshape(joined) @ adjoint
+        # X_ja = U_ja rho for every block in one product, mixed by the
+        # ancilla into Y_jb = sum_a eta_ab X_ja. The mix is a fixed-order
+        # elementwise sum, so a run rounds the same alone as in any stack.
+        x = (g.u.reshape(p, s, -1, b_s) @ state).reshape(g.u.shape)
+        mix = np.take(eta, g.ja[:, :, 1], axis=1)[..., None, None] if charged else eta
+        y = mix[..., 0, :, None, None] * x[:, :, :, :1]
+        for i in range(1, a):
+            y += mix[..., i, :, None, None] * x[:, :, :, i : i + 1]
+        # sum_jb Y_jb U_jb^dagger = hstack(Y) @ vstack(U^dagger).
+        y_row = y.reshape(p, s, -1, b_t, b_s).swapaxes(-3, -2).reshape(p, s, b_t, -1)
+        sandwich = y_row @ g.u_adj
         target = out[g.t_class]
         if target is None and g.t_pos is None:
             out[g.t_class] = sandwich
@@ -515,21 +457,20 @@ def collision_step(net, kraus):
                 target += sandwich
             else:
                 target[:, g.t_pos] += sandwich
-        # anc'_jk = sum_m tr(K_jm rho K_km^dagger); vecdot conjugates its
-        # first argument and sums in the order vdot does. Operators with
-        # another a never share a sector pair, so a charged ancilla gets
-        # only its diagonal, and its off-diagonal entries stay exactly 0.
-        part = np.vecdot(stack.reshape(pair_k), applied.reshape(pair_applied))
-        if g.diagonal is not None:
+        # anc'_jk = sum_b tr(Y_jb U_kb^dagger); vecdot conjugates its first
+        # argument and sums in the order vdot does. Blocks with another a
+        # never share a sector pair, so a charged ancilla gets only its
+        # diagonal, and its off-diagonal entries stay exactly 0.
+        if charged:
+            part = np.vecdot(g.u.reshape(p, s * j, -1), y.reshape(p, s * j, -1))
             part = np.vecdot(g.diagonal, part[:, None, :])
-        elif len(g.ja) > 1:
-            part = part.sum(axis=1)
         else:
-            part = part[:, 0]
-        anc = part if anc is None else anc + part
-    if partition.charge[1]:
-        anc = anc[:, :, None] * np.eye(2)
-    return _cleanup(out, anc, partition)
+            part = np.vecdot(g.u.reshape(p, s, 1, j, -1), y.reshape(p, s, j, 1, -1))
+            part = part.sum(axis=1) if s > 1 else part[:, 0]
+        anc_out = part if anc_out is None else anc_out + part
+    if charged:
+        anc_out = anc_out[:, :, None] * np.eye(2)
+    return _cleanup(out, anc_out, partition)
 
 
 def run_protocols(configs):
@@ -539,13 +480,14 @@ def run_protocols(configs):
     points of a sweep over omega or dt do; their couplings, dt, modes and
     initial states may differ. Each step is one collision_step call on
     the blocks of the stack's network states, in the finest charge
-    partition that every run keeps. For each run the initial states are
+    partition that every run keeps, with each run's incoming ancilla: its
+    initial state in collision mode, its previous step's ancilla in
+    repeated-interaction mode. For each run the initial states are
     validated and the propagator is built, its unitarity verified, once;
-    the steps trust both. The stack's Kraus operators are rebuilt after a
-    step that moved a carried ancilla, and a run whose input did not move
-    gets the same operators again. The trajectory arrays are allocated up
-    front and each step's blocks are scattered into their slot; slot 0
-    holds copies of the initial states.
+    the propagator blocks are laid out once for the stack, and the steps
+    trust all three. The trajectory arrays are allocated up front and
+    each step's blocks are scattered into their slot; slot 0 holds copies
+    of the initial states.
     """
     steps, n_net = configs[0].steps, configs[0].spec.topology.n
     for config in configs:
@@ -555,28 +497,20 @@ def run_protocols(configs):
                 f"{config.steps} steps on {config.spec.topology.n} qubits "
                 f"beside {steps} on {n_net}"
             )
-    anc_in = np.array([_as_density(c.ancilla_init, 1, "ancilla state") for c in configs])
+    anc0 = np.array([_as_density(c.ancilla_init, 1, "ancilla state") for c in configs])
     net0 = np.array([_as_density(c.network_init, n_net, "network state") for c in configs])
     u = np.array([build_propagator(c.spec, c.dt) for c in configs])
-    partition = _choose_partition(u, net0, anc_in)
+    partition = _choose_partition(u, net0, anc0)
     blocks = propagator_blocks(u, partition)
     # Entries between sectors are never written and stay exactly 0.
     network = np.zeros((len(configs), steps + 1) + net0.shape[1:], dtype=complex)
     ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
-    network[:, 0], ancilla[:, 0] = net0, anc_in
+    network[:, 0], ancilla[:, 0] = net0, anc0
     net = partition.gather(net0)
-    carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])
-    any_carry = carry.any()
-    kraus = kraus_operators(blocks, anc_in)
+    carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
     for n in range(1, steps + 1):
-        net, ancilla[:, n] = collision_step(net, kraus)
+        net, ancilla[:, n] = collision_step(net, blocks, np.where(carry, ancilla[:, n - 1], anc0))
         partition.scatter(network[:, n], net)
-        if n == steps or not any_carry:
-            continue
-        moved = carry & (ancilla[:, n] != anc_in).reshape(len(configs), 4).any(axis=1)
-        if moved.any():
-            anc_in[moved] = ancilla[moved, n]
-            kraus = kraus_operators(blocks, anc_in)
     return [
         Trajectory(config, network[p], ancilla[p]) for p, config in enumerate(configs)
     ]

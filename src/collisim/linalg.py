@@ -9,6 +9,8 @@ package shares this convention.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Shared tolerances. State invariants (trace, hermiticity, norm) are held
@@ -105,6 +107,20 @@ def _bit_offsets(qubits, n):
     return offsets
 
 
+@functools.lru_cache(maxsize=64)
+def _trace_index(discard, n):
+    """partial_trace's gather index for the sorted tuple of discarded qubits.
+
+    Entry (t, a, b) is the flattened position of rho[row(a, t), row(b, t)].
+    Cached, so callers share it; it is read-only.
+    """
+    keep = [q for q in range(n) if q not in discard]
+    rows = _bit_offsets(discard, n)[:, None] + _bit_offsets(keep, n)
+    flat = rows[:, :, None] * 2**n + rows[:, None, :]
+    flat.flags.writeable = False
+    return flat
+
+
 def partial_trace(rho, discard, num_qubits=None):
     """Trace out the qubits listed in `discard`.
 
@@ -127,13 +143,11 @@ def partial_trace(rho, discard, num_qubits=None):
     discard = set(discard)
     if not all(isinstance(q, (int, np.integer)) and 0 <= q < n for q in discard):
         raise ValueError(f"discard indices {sorted(discard)} invalid for {n} qubits")
-    keep = [q for q in range(n) if q not in discard]
-    rows = _bit_offsets(sorted(discard), n)[:, None] + _bit_offsets(keep, n)
-    flat = rows[:, :, None] * dim + rows[:, None, :]
+    flat = _trace_index(tuple(sorted(int(q) for q in discard)), n)
     terms = rho.reshape(rho.shape[:-2] + (dim * dim,))[..., flat]
     # Add the terms in a fixed order: numpy's own sum picks its order by
     # memory layout, so a state would round differently alone and in a stack.
-    return sum(terms[..., t, :, :] for t in range(len(rows)))
+    return sum(terms[..., t, :, :] for t in range(len(flat)))
 
 
 def check_pure_state(vec, what="state vector"):

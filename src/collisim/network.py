@@ -198,8 +198,16 @@ def build_propagator(spec, dt):
     n = spec.topology.n
     d = 2**n
     h = np.zeros((2 * d, 2 * d), dtype=complex)
-    h[:d, :d] = h[d:, d:] = build_system_hamiltonian(spec)
-    h += build_interaction_hamiltonian(spec)
+    # Coupling strengths near the float limit overflow H to non-finite
+    # entries; that is a numerical error, not an invalid matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h[:d, :d] = h[d:, d:] = build_system_hamiltonian(spec)
+        h += build_interaction_hamiltonian(spec)
+    if not np.isfinite(h).all():
+        raise NumericalError(
+            f"register Hamiltonian overflows with omega0={spec.omega0:g} and "
+            f"omega={spec.omega:g}; use smaller coupling strengths"
+        )
     kept = [_register_charge(charge, n) for charge in _conserved(h, n)]
     block = np.ravel_multi_index(kept, [n + 2] * len(kept))
     sizes = np.bincount(block)

@@ -25,7 +25,7 @@ was before the runs came from one comparison of neighbours.
 import numpy as np
 
 from collisim import dynamics
-from collisim.dynamics import ProtocolMode, collision_step, kraus_operators, propagator_blocks
+from collisim.dynamics import ProtocolMode, collision_step, propagator_blocks
 from collisim.linalg import (
     IDENTITY_2,
     SIGMA_MINUS,
@@ -91,12 +91,11 @@ def loop_find_peaks(series, min_height):
 ONE_BLOCK = (None, False)
 
 
-def one_block_kraus(u, anc):
-    """collision_step's Kraus operators for (P, 2d, 2d) propagators and
-    (P, 2, 2) ancillas, with the network basis as one block."""
+def one_block_blocks(u):
+    """collision_step's propagator blocks for (P, 2d, 2d) propagators, with
+    the network basis as one block."""
     u = np.asarray(u, dtype=complex)
-    partition = dynamics._partition(ONE_BLOCK, num_qubits_of(u.shape[-1]) - 1)
-    return kraus_operators(propagator_blocks(u, partition), np.asarray(anc, dtype=complex))
+    return propagator_blocks(u, dynamics._partition(ONE_BLOCK, num_qubits_of(u.shape[-1]) - 1))
 
 
 def one_block_step(net, u, anc):
@@ -109,7 +108,9 @@ def one_block_step(net, u, anc):
     alone = net.ndim == 2
     if alone:
         net, u, anc = net[None], np.asarray(u)[None], np.asarray(anc)[None]
-    flat, anc_out = collision_step(net.reshape(len(net), -1), one_block_kraus(u, anc))
+    flat, anc_out = collision_step(
+        net.reshape(len(net), -1), one_block_blocks(u), np.asarray(anc, dtype=complex)
+    )
     net_out = flat.reshape(net.shape)
     return (net_out[0], anc_out[0]) if alone else (net_out, anc_out)
 

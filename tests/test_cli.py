@@ -237,6 +237,22 @@ class TestSweepCommand:
         assert lines[1] == "dt=1e+308: error: propagator unitarity defect nan"
         assert captured.err == ""
 
+    def test_overflowing_hamiltonian_fails_each_row(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, topology="triangle3", system_coupling="ZZ", omega0=1.0e308
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", str(path), "--param", "omega", "--values", "4,5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == [
+            f"omega={omega}: error: register Hamiltonian overflows with omega0=1e+308 "
+            f"and omega={omega}; use smaller coupling strengths"
+            for omega in (4, 5)
+        ]
+        assert captured.err == ""
+
     def test_rejects_unknown_parameter(self, capsys):
         assert main(["sweep", "fig5", "--param", "steps", "--values", "5"]) == 1
 

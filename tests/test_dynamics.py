@@ -1,6 +1,7 @@
 """Step map and protocol loop behaviour."""
 
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ from collisim.dynamics import (
     ProtocolConfig,
     ProtocolMode,
     collision_step,
-    kraus_operators,
     propagator_blocks,
     run_protocol,
     run_protocols,
@@ -29,6 +29,8 @@ from collisim.linalg import (
     num_qubits_of,
 )
 from collisim.network import (
+    _CHARGES,
+    _register_charge,
     CouplingKind,
     NetworkSpec,
     Topology,
@@ -39,7 +41,6 @@ from collisim.network import (
 from collisim.runner import PRESETS, ExperimentConfig, build_protocol, preset
 from reference import (
     ONE_BLOCK,
-    one_block_kraus,
     one_block_step,
     reference_step,
     reference_trajectory,
@@ -143,9 +144,12 @@ class TestStackedStep:
         nets[1, 0, 0] = 0.0
         nets[2] *= 1.1
         with pytest.raises(
-            NumericalError, match=r"beyond budget: hermiticity \S+, trace 0.0999\d* \(stack index 2\)"
-        ):
+            NumericalError, match=r"beyond budget: hermiticity \S+, trace (\S+) \(stack index 2\)"
+        ) as caught:
             one_block_step(nets, u, anc)
+        # The trace defect is 0.1 up to the step's roundoff.
+        trace = re.search(r"trace (\S+) ", str(caught.value)).group(1)
+        assert abs(float(trace) - 0.1) <= 1e-12
 
 
 class TestRunProtocol:
@@ -240,8 +244,9 @@ class TestRunProtocol:
                 anc0 = traj.ancilla[:1]
                 for n in range(1, cfg.steps + 1):
                     anc_in = anc0 if mode is ProtocolMode.COLLISION else traj.ancilla[n - 1 : n]
-                    kraus = kraus_operators(blocks, anc_in)
-                    net, anc = collision_step(partition.gather(traj.network[n - 1 : n]), kraus)
+                    net, anc = collision_step(
+                        partition.gather(traj.network[n - 1 : n]), blocks, anc_in
+                    )
                     assert np.array_equal(net, partition.gather(traj.network[n : n + 1]))
                     assert np.array_equal(anc, traj.ancilla[n : n + 1])
 
@@ -304,6 +309,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_protocol(make_config(ancilla_init=np.array([1.0, 1.0])))
 
+    # The step trusts its ancilla input: run_protocol rejects a bad one at
+    # entry, before the propagator is built or any step runs.
+
+    def test_rejects_non_finite_ancilla(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built a propagator for a rejected run")
+
+        monkeypatch.setattr(dynamics_module, "build_propagator", fail)
+        anc = density_from_pure(KET_PLUS)
+        anc[0, 1] = np.inf
+        for bad in (np.array([np.nan, 0.0]), np.array([1.0, np.inf]), anc):
+            with pytest.raises(ValueError, match="ancilla state"):
+                run_protocol(make_config(ancilla_init=bad))
+
+    def test_rejects_multi_qubit_ancilla(self):
+        for bad in (np.eye(4, dtype=complex) / 4.0, basis_ket(2)):
+            with pytest.raises(ValueError, match="ancilla state has 2 qubits"):
+                run_protocol(make_config(ancilla_init=bad))
+
 
 def exchange_chain(n, mode, steps):
     """An open exchange chain with an exchange-coupled ancilla |1> on A."""
@@ -326,7 +350,7 @@ def differential_protocol(case, mode):
 
 
 class TestAgainstReferenceStep:
-    """The Kraus kernel against the joint-register step it replaced."""
+    """The block kernel against the joint-register step it replaced."""
 
     @pytest.mark.parametrize("mode", ["collision", "repeated"])
     @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
@@ -358,133 +382,114 @@ def random_ancilla(rng, minor):
     return (basis * np.array([1.0 - minor, minor])) @ basis.conj().T
 
 
-def kraus_matrices(u, anc):
-    """The Kraus operators and their adjoints as (m, d, d) stacks."""
-    _, [(_, stack, adjoint, _)] = one_block_kraus(u[None], anc[None])
-    d = u.shape[0] // 2
-    return stack.reshape(-1, d, d), adjoint.reshape(-1, d, d)
-
-
 # The smaller ancilla weight: zero for a pure ancilla, else from 1e-12 up
-# to 1/2, so weights just above the roundoff floor are exercised too.
+# to 1/2, so nearly pure ancillas are exercised too.
 MINOR_WEIGHTS = st.one_of(
     st.just(0.0),
     st.floats(min_value=-12.0, max_value=np.log10(0.5)).map(lambda e: 10.0**e),
 )
 
 
-class TestKrausChannel:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_net=st.integers(1, 3), minor=MINOR_WEIGHTS)
-    def test_completeness(self, seed, n_net, minor):
-        rng = np.random.default_rng(seed)
-        u = random_unitary(rng, 2 ** (n_net + 1))
-        anc = random_ancilla(rng, minor)
-        ops, adjoints = kraus_matrices(u, anc)
-        assert len(ops) == (2 if minor == 0.0 else 4)
-        total = sum(k.conj().T @ k for k in ops)
-        assert np.max(np.abs(total - np.eye(2**n_net))) <= 1e-12
-        assert np.array_equal(adjoints, ops.conj().transpose(0, 2, 1))
+def random_step_inputs(rng, charge, n_net, minor):
+    """(network, propagator, ancilla) that keep one of network._CHARGES.
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_net=st.integers(1, 3), minor=MINOR_WEIGHTS)
-    def test_outputs_are_states_and_match_reference(self, seed, n_net, minor):
-        rng = np.random.default_rng(seed)
-        u = random_unitary(rng, 2 ** (n_net + 1))
+    The propagator is a random unitary on each charge block of the
+    register, the network state a random state pinched to the network's
+    charge blocks, and the ancilla random with weights 1 - minor and
+    minor, diagonal for a charged ancilla.
+    """
+    d = 2**n_net
+    labels = _register_charge(charge, n_net)
+    u = np.zeros((2 * d, 2 * d), dtype=complex)
+    for q in np.unique(labels):
+        index = np.flatnonzero(labels == q)
+        u[np.ix_(index, index)] = random_unitary(rng, len(index))
+    net = np.where(labels[:d, None] == labels[:d], random_density(rng, d), 0.0)
+    if charge[1]:
+        anc = np.diag(rng.permutation([1.0 - minor, minor])).astype(complex)
+    else:
         anc = random_ancilla(rng, minor)
-        net = random_density(rng, 2**n_net)
-        got = one_block_step(net, u, anc)
+    return net, u, anc
+
+
+def partition_step(nets, us, ancs, charge):
+    """collision_step on (P, d, d) dense states in the partition by charge,
+    with dense (P, d, d) network outputs."""
+    partition = dynamics_module._partition(charge, num_qubits_of(nets.shape[-1]))
+    flat, anc = collision_step(partition.gather(nets), propagator_blocks(us, partition), ancs)
+    out = np.zeros_like(nets)
+    partition.scatter(out, flat)
+    return out, anc
+
+
+class TestStepMap:
+    """collision_step against the joint-register step, in every partition."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_net=st.integers(1, 3),
+        charge=st.sampled_from(_CHARGES),
+        minor=MINOR_WEIGHTS,
+    )
+    def test_outputs_are_states_and_match_reference(self, seed, n_net, charge, minor):
+        net, u, anc = random_step_inputs(np.random.default_rng(seed), charge, n_net, minor)
+        got = partition_step(net[None], u[None], anc[None], charge)
         want = reference_step(net, anc, u)
         for rho, ref in zip(got, want):
-            assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+            rho = rho[0]
+            assert np.array_equal(rho, rho.conj().T)
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(rho)[0] >= -PSD_SLACK
             assert np.max(np.abs(rho - ref)) <= 1e-12
-
-    def test_pure_ancilla_uses_two_operators(self):
-        u = build_propagator(make_spec(), 0.4)
-        for ket in (KET_ZERO, KET_ONE, KET_PLUS):
-            ops, _ = kraus_matrices(u, density_from_pure(ket))
-            assert len(ops) == 2
-
-    def test_unchanged_ancilla_is_factorized_once(self, monkeypatch):
-        # Kraus operators are built once per distinct ancilla input, and
-        # never for a step that does not run, so the last build is the last
-        # step's input. fig5's carried ancilla stays put on every step whose
-        # output is fed on; fig6's moves every step. A single run's input is
-        # a stack of one, (1, 2, 2).
-        builds = []
-
-        def counted(blocks, anc):
-            builds.append(anc.copy())
-            return kraus_operators(blocks, anc)
-
-        monkeypatch.setattr(dynamics_module, "kraus_operators", counted)
-        for name, mode, want in (
-            ("fig5", "collision", 1),
-            ("fig5", "repeated", 1),
-            ("fig6", "repeated", 220),
-        ):
-            builds.clear()
-            cfg = dataclasses.replace(preset(name), mode=mode)
-            protocol = build_protocol(cfg)[0]
-            traj = run_protocol(protocol)
-            assert len(builds) == want, (name, mode)
-            if mode == "repeated":
-                assert all(
-                    not np.array_equal(a, b) for a, b in zip(builds, builds[1:])
-                )
-                assert np.array_equal(builds[-1], traj.ancilla[None, protocol.steps - 1])
-
-    # The channel trusts its ancilla input: run_protocol rejects a bad one
-    # at entry, before the propagator is built or any step runs.
-
-    def test_rejects_non_finite_ancilla(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("built a propagator for a rejected run")
-
-        monkeypatch.setattr(dynamics_module, "build_propagator", fail)
-        anc = density_from_pure(KET_PLUS)
-        anc[0, 1] = np.inf
-        for bad in (np.array([np.nan, 0.0]), np.array([1.0, np.inf]), anc):
-            with pytest.raises(ValueError, match="ancilla state"):
-                run_protocol(make_config(ancilla_init=bad))
-
-    def test_rejects_multi_qubit_ancilla(self):
-        for bad in (np.eye(4, dtype=complex) / 4.0, basis_ket(2)):
-            with pytest.raises(ValueError, match="ancilla state has 2 qubits"):
-                run_protocol(make_config(ancilla_init=bad))
-
-
-class TestStackedKraus:
-    """propagator_blocks and kraus_operators take stacks, each state as alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_net=st.integers(1, 3),
+        charge=st.sampled_from(_CHARGES),
+        minor=MINOR_WEIGHTS,
+    )
+    def test_map_preserves_trace_before_cleanup(self, seed, n_net, charge, minor):
+        # What reaches the cleanup is already Hermitian with unit trace up
+        # to roundoff: the map itself is trace-preserving.
+        net, u, anc = random_step_inputs(np.random.default_rng(seed), charge, n_net, minor)
+        raw = []
+        cleanup = dynamics_module._cleanup
+
+        def spy(blocks, anc_out, partition):
+            raw.extend([blocks, [anc_out]])
+            return cleanup(blocks, anc_out, partition)
+
+        with mock.patch.object(dynamics_module, "_cleanup", spy):
+            partition_step(net[None], u[None], anc[None], charge)
+        for states in raw:
+            trace = sum(np.trace(rho, axis1=-2, axis2=-1).sum() for rho in states)
+            assert abs(trace - 1.0) <= 1e-12
+            for rho in states:
+                assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_net=st.integers(1, 3),
+        charge=st.sampled_from(_CHARGES),
         count=st.sampled_from([1, 2, 5]),
         data=st.data(),
     )
-    def test_stack_matches_per_state_calls(self, seed, n_net, count, data):
-        # Pure and mixed ancillas share the stack: slot p holds its own m_p
-        # operators, then exact zeros up to the stack's largest count.
+    def test_stack_matches_each_run_alone(self, seed, n_net, charge, count, data):
+        # Pure and mixed ancillas share the stack, and each run steps to
+        # the bit as it does alone.
         rng = np.random.default_rng(seed)
-        d = 2**n_net
-        us = np.array([random_unitary(rng, 2 * d) for _ in range(count)])
-        ancs = np.array([random_ancilla(rng, data.draw(MINOR_WEIGHTS)) for _ in range(count)])
-        _, [(_, *kraus, _)] = one_block_kraus(us, ancs)
-        m = 1
-        for p, (u, anc) in enumerate(zip(us, ancs)):
-            _, [(_, *alone, _)] = one_block_kraus(u[None], anc[None])
-            for got, want in zip(kraus, alone):
-                got, want = got[p].reshape(2, -1, d * d), want[0].reshape(2, -1, d * d)
-                m_p = want.shape[1]
-                m = max(m, m_p)
-                assert np.array_equal(got[:, :m_p], want)
-                assert not got[:, m_p:].any()
-        for ops in kraus:
-            assert ops.shape == (count, 1, 2 * m * d, d)
+        inputs = [
+            random_step_inputs(rng, charge, n_net, data.draw(MINOR_WEIGHTS)) for _ in range(count)
+        ]
+        nets, us, ancs = (np.array(column) for column in zip(*inputs))
+        stacked = partition_step(nets, us, ancs, charge)
+        for p, (net, u, anc) in enumerate(inputs):
+            alone = partition_step(net[None], u[None], anc[None], charge)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[p], want[0])
 
 
 class TestStackedRuns:
@@ -499,7 +504,7 @@ class TestStackedRuns:
     )
     def test_each_run_matches_its_own(self, seed, n, points, data):
         # Modes, couplings and ancillas differ between the runs, so pure and
-        # mixed ancillas share a stack and the Kraus operators get padded.
+        # mixed, carried and reset ancillas share a stack.
         rng = np.random.default_rng(seed)
         configs = []
         for _ in range(points):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collisim.linalg as linalg_module
 from collisim.linalg import (
     ATOL_STATE,
     ATOL_UNITARY,
@@ -193,6 +194,21 @@ class TestPartialTrace:
     def test_qubit_count_must_match_the_shape(self):
         with pytest.raises(ValueError, match="does not hold 2 qubits"):
             partial_trace(np.eye(8) / 8, {0}, num_qubits=2)
+
+    def test_gather_index_is_built_once_and_inputs_still_checked(self):
+        # Any spelling of one discard set shares one read-only index; the
+        # inputs are checked on every call, a cached index or not.
+        rho = random_density(np.random.default_rng(22), 3)
+        linalg_module._trace_index.cache_clear()
+        first = partial_trace(rho, {0, 2})
+        assert np.array_equal(partial_trace(rho, [2, np.int64(0)]), first)
+        info = linalg_module._trace_index.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not linalg_module._trace_index((0, 2), 3).flags.writeable
+        with pytest.raises(ValueError, match="invalid for 3 qubits"):
+            partial_trace(rho, {0, 3})
+        with pytest.raises(ValueError, match="does not hold 2 qubits"):
+            partial_trace(rho, {0, 2}, num_qubits=2)
 
 
 class TestStackedPartialTrace:

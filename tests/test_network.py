@@ -1,9 +1,18 @@
 """Hamiltonian construction and its symmetries."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from collisim.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, embed_single, expm_hermitian
+from collisim.linalg import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Z,
+    NumericalError,
+    embed_single,
+    expm_hermitian,
+)
 from collisim.network import (
     CouplingKind,
     NetworkSpec,
@@ -270,6 +279,19 @@ class TestPropagator:
         h = build_interaction_hamiltonian(spec)
         expected = np.diag(np.exp(-1j * dt * np.diag(h)))
         assert np.max(np.abs(u - expected)) < 1e-10
+
+    def test_overflowing_hamiltonian_is_a_numerical_error(self):
+        # The triangle's ZZ diagonal, 3 omega0, overflows to inf; that fails
+        # naming both strengths, with no numpy warning escaping.
+        spec = chain_spec(
+            topology=preset_topology("triangle3"), system_coupling=CouplingKind.ZZ, omega0=1e308
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericalError, match=r"overflows with omega0=1e\+308 and omega=5;"
+            ):
+                build_propagator(spec, 0.4)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):

@@ -367,9 +367,9 @@ class TestSweep:
         sizes = []
         step = dynamics_module.collision_step
 
-        def counted(net, kraus):
+        def counted(net, blocks, anc):
             sizes.append(net.shape[0])
-            return step(net, kraus)
+            return step(net, blocks, anc)
 
         monkeypatch.setattr(dynamics_module, "collision_step", counted)
         base = preset("fig2_cm")
@@ -389,10 +389,10 @@ class TestSweep:
         want = sweep(small_config(), "omega", values)
         step = dynamics_module.collision_step
 
-        def flaky(net, kraus):
+        def flaky(net, blocks, anc):
             if net.shape[0] > 1:
                 raise NumericalError("step correction over budget")
-            return step(net, kraus)
+            return step(net, blocks, anc)
 
         monkeypatch.setattr(dynamics_module, "collision_step", flaky)
         rows = sweep(small_config(), "omega", values)
@@ -536,9 +536,9 @@ class TestReproduce:
         sizes = []
         step = dynamics_module.collision_step
 
-        def counted(net, kraus):
+        def counted(net, blocks, anc):
             sizes.append(net.shape[0])
-            return step(net, kraus)
+            return step(net, blocks, anc)
 
         monkeypatch.setattr(dynamics_module, "collision_step", counted)
         summary = reproduce("fig6", tmp_path)
