@@ -28,12 +28,12 @@ register Hamiltonian conserves a charge Q = q_anc + Q_net, each block U_ja
 moves the network charge by q(a) - q(j), so a network state that starts
 block-diagonal in Q_net stays so, and only its blocks are stepped. The
 charges tried, finest first, are the network's excitation number and its
-parity, each with the ancilla uncharged (q = 0) or charged (q = 0, 1). A
-charge holds for a run when U is exactly 0 between charges
-(build_propagator leaves it so wherever H is), the initial network state
-is exactly block-diagonal, and, for a charged ancilla, the ancilla state
-is exactly diagonal, so Y_ja = eta_aa X_ja and only the ancilla's diagonal
-is filled; a carried charged ancilla then stays exactly diagonal. A run
+parity, each with the ancilla uncharged (q = 0) or charged (q = 0, 1);
+only this module knows them. A charge holds for a run when U is exactly
+0 between charges (build_propagator exponentiates H over the blocks it
+couples, so U is 0 wherever H is), the initial network state is exactly
+block-diagonal, and, for a charged ancilla, the ancilla state is exactly
+diagonal, so Y_ja = eta_aa X_ja and only the ancilla's diagonal is filled; a carried charged ancilla then stays exactly diagonal. A run
 that keeps no charge, and a stack whose runs keep no charge in common, is
 stepped as one block: the same kernel with one sector. Sandwiches of one
 shape run as one batched product.
@@ -70,7 +70,7 @@ from .linalg import (
 # bench/spans.py wraps partial_trace where this module looks it up, so the
 # name stays importable here although the step itself takes no partial trace.
 from .linalg import partial_trace  # noqa: F401
-from .network import _CHARGES, NetworkSpec, _conserved, _register_charge, build_propagator
+from .network import NetworkSpec, build_propagator
 
 # A post-step cleanup (hermitize, renormalize the trace) absorbs roundoff;
 # if it ever has to move a state by more than this, the run is aborted
@@ -90,9 +90,9 @@ _ANCILLA_DIAGONAL = np.array([0, 3])
 # plus the register propagator, at 16 B per complex entry.
 MAX_RUN_BYTES = 2 * 2**30
 
-# Largest stack of network trajectories that sweep steps together. About a
-# dozen n = 3 runs fill it, which already saves most of the per-call
-# overhead a stack can save; a larger stack only costs memory.
+# Largest stack of network trajectories that sweep steps together, about a
+# dozen n = 3 runs. Larger stacks trade memory for speed: a 202-point fig2_cm
+# sweep took 214-278 ms with 4 MiB against 318-355 ms with 1 MiB (2 vCPUs).
 MAX_STACK_BYTES = 2**20
 
 
@@ -185,6 +185,33 @@ def _as_density(state, expected_qubits, what):
     return rho
 
 
+# Charges the register Hamiltonian may conserve, finest first: the
+# network's excitation number or parity, with the ancilla uncharged or
+# charged (its bit counts as 0 or 1). The last, no charge, always holds.
+_CHARGES = (
+    ("number", False),
+    ("number", True),
+    ("parity", False),
+    ("parity", True),
+    (None, False),
+)
+
+
+@functools.lru_cache(maxsize=32)
+def _register_charge(charge, n):
+    """Charge of each register basis state, ancilla in slot 0, for one of _CHARGES.
+
+    The first 2**n entries, ancilla |0>, are the network states' charges.
+    The array is cached, so it is read-only.
+    """
+    kind, charged = charge
+    ones = sum((np.arange(2**n) >> k) & 1 for k in range(n)) if kind else np.zeros(2**n, int)
+    labels = np.concatenate([ones, ones + 1 if charged else ones])
+    labels = labels % 2 if kind == "parity" else labels
+    labels.flags.writeable = False
+    return labels
+
+
 class _Partition(
     namedtuple("_Partition", "charge sectors classes index views transpose diagonal")
 ):
@@ -225,7 +252,7 @@ class _Partition(
 
 @functools.lru_cache(maxsize=32)
 def _partition(charge, n):
-    """The _Partition of the network basis by one of network._CHARGES.
+    """The _Partition of the network basis by one of _CHARGES.
 
     Cached, so callers share it; its arrays are read-only."""
     d = 2**n
@@ -261,16 +288,19 @@ def _choose_partition(u, net, anc):
     """The finest charge partition that every run of a stack keeps.
 
     A charge holds for a run when its propagator u is exactly 0 between
-    charges (build_propagator leaves it so wherever H is), its initial
-    network state is exactly block-diagonal, and, for a charged ancilla,
-    the ancilla state is exactly diagonal. The no-charge partition, one
-    block, always holds.
+    charges (U is 0 between the blocks H couples, so wherever H is), its
+    initial network state is exactly block-diagonal, and, for a charged
+    ancilla, the ancilla state is exactly diagonal. The no-charge
+    partition, one block, always holds. A network index is the register
+    index with the ancilla in |0>, so one label array tests both.
     """
     n = num_qubits_of(net.shape[-1])
-    kept = set(_conserved(u, n)) & set(_conserved(net, n))
+    links = [np.nonzero(m)[-2:] for m in (u, net)]
+    rows, cols = (np.concatenate(side) for side in zip(*links))
     diagonal = not anc[:, [0, 1], [1, 0]].any()
     for charge in _CHARGES:
-        if charge in kept and (diagonal or not charge[1]):
+        labels = _register_charge(charge, n)
+        if (diagonal or not charge[1]) and (labels[rows] == labels[cols]).all():
             return _partition(charge, n)
 
 

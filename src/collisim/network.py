@@ -7,7 +7,6 @@ as letters, A for index 0, B for 1, and so on.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,59 +143,18 @@ def build_interaction_hamiltonian(spec):
     )
 
 
-# Charges the register Hamiltonian may conserve, finest first: the
-# network's excitation number or parity, with the ancilla uncharged or
-# charged (its bit counts as 0 or 1). The last, no charge, always holds.
-_CHARGES = (
-    ("number", False),
-    ("number", True),
-    ("parity", False),
-    ("parity", True),
-    (None, False),
-)
-
-
-@functools.lru_cache(maxsize=32)
-def _register_charge(charge, n):
-    """Charge of each register basis state, ancilla in slot 0, for one of _CHARGES.
-
-    The first 2**n entries, ancilla |0>, are the network states' charges.
-    The array is cached, so it is read-only.
-    """
-    kind, charged = charge
-    ones = sum((np.arange(2**n) >> k) & 1 for k in range(n)) if kind else np.zeros(2**n, int)
-    labels = np.concatenate([ones, ones + 1 if charged else ones])
-    labels = labels % 2 if kind == "parity" else labels
-    labels.flags.writeable = False
-    return labels
-
-
-def _conserved(m, n):
-    """The _CHARGES that m, a matrix or a stack, never links across: every
-    entry between basis states of different charge is exactly 0. Register
-    matrices are 2**(n+1) wide, network ones 2**n."""
-    *_, rows, cols = np.nonzero(m)
-    kept = []
-    for charge in _CHARGES:
-        labels = _register_charge(charge, n)
-        if (labels[rows] == labels[cols]).all():
-            kept.append(charge)
-    return kept
-
-
 def build_propagator(spec, dt):
     """One-step unitary U = exp(-i (H_system + H_interaction) dt).
 
     Acts on the full register: ancilla in slot 0, network in slots
-    1..n. H is exponentiated block by block, a block being the states that
-    share their value of every charge H conserves, so U is exactly 0
-    wherever H is block-diagonal in a charge and the step reads the
-    charges off U. The result is checked to be unitary within ATOL_UNITARY.
+    1..n. H is exponentiated over the blocks it couples, the connected
+    components of its nonzero entries, so U is exactly 0 between them and
+    so between the values of any charge H conserves. Each block is
+    checked to be unitary within ATOL_UNITARY.
     """
     if dt <= 0:
         raise ValueError(f"step duration must be positive, got {dt}")
-    n = spec.topology.n
-    d = 2**n
+    d = 2**spec.topology.n
     h = np.zeros((2 * d, 2 * d), dtype=complex)
     # Coupling strengths near the float limit overflow H to non-finite
     # entries; that is a numerical error, not an invalid matrix.
@@ -208,19 +166,28 @@ def build_propagator(spec, dt):
             f"register Hamiltonian overflows with omega0={spec.omega0:g} and "
             f"omega={spec.omega:g}; use smaller coupling strengths"
         )
-    kept = [_register_charge(charge, n) for charge in _conserved(h, n)]
-    block = np.ravel_multi_index(kept, [n + 2] * len(kept))
-    sizes = np.bincount(block)
+    # Label each state by the lowest state of its component: take the lowest
+    # label among its neighbours, jump to that label's label, until none moves.
+    linked, neighbour = np.nonzero(h)
+    label, lower = None, np.arange(2 * d)
+    while not np.array_equal(lower, label):
+        label = lower.copy()
+        np.minimum.at(lower, linked, label[neighbour])
+        lower = lower[lower]
+    sizes = np.bincount(label)
     u = np.zeros_like(h)
+    defect = 0.0
     # A huge dt overflows to non-finite entries, which the check below rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Blocks of one size are exponentiated as one stack.
+        # Blocks of one size are exponentiated as one stack. U is 0 between
+        # blocks, so checking each block checks U; np.maximum keeps a NaN.
         for size in set(sizes[sizes > 0].tolist()):
             members = np.flatnonzero(sizes == size)
-            index = np.stack([np.flatnonzero(block == b) for b in members])
+            index = np.stack([np.flatnonzero(label == b) for b in members])
             rows, cols = index[:, :, None], index[:, None, :]
-            u[rows, cols] = expm_hermitian(h[rows, cols], -1j * dt)
-        defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+            u[rows, cols] = block = expm_hermitian(h[rows, cols], -1j * dt)
+            gram = block @ block.conj().swapaxes(-1, -2)
+            defect = np.maximum(defect, np.abs(gram - np.eye(size)).max())
     # Written so that a NaN defect fails too: every comparison with NaN is False.
     if not defect <= ATOL_UNITARY:
         raise NumericalError(f"propagator unitarity defect {defect}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import math
 import numbers
 import os
@@ -586,6 +587,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="collisim",

@@ -18,6 +18,11 @@ route, which cross-checks the library's singular-value form.
 eigh_concurrence is that singular-value form on its own, the route every
 state took before X states got their closed form.
 
+charge_block_propagator is build_propagator as it was before its blocks
+were the connected components of H: the joint blocks of every register
+charge H keeps, each exponentiated with the same stacking, so the two
+agree bit for bit wherever the components are those blocks.
+
 loop_find_peaks is find_peaks as a scan over runs of equal values, as it
 was before the runs came from one comparison of neighbours.
 """
@@ -25,7 +30,13 @@ was before the runs came from one comparison of neighbours.
 import numpy as np
 
 from collisim import dynamics
-from collisim.dynamics import ProtocolMode, collision_step, propagator_blocks
+from collisim.dynamics import (
+    _CHARGES,
+    _register_charge,
+    ProtocolMode,
+    collision_step,
+    propagator_blocks,
+)
 from collisim.linalg import (
     IDENTITY_2,
     SIGMA_MINUS,
@@ -34,10 +45,16 @@ from collisim.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     NumericalError,
+    expm_hermitian,
     num_qubits_of,
     partial_trace,
 )
-from collisim.network import CouplingKind, build_propagator
+from collisim.network import (
+    CouplingKind,
+    build_interaction_hamiltonian,
+    build_propagator,
+    build_system_hamiltonian,
+)
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real
 
@@ -113,6 +130,27 @@ def one_block_step(net, u, anc):
     )
     net_out = flat.reshape(net.shape)
     return (net_out[0], anc_out[0]) if alone else (net_out, anc_out)
+
+
+def charge_block_propagator(spec, dt):
+    """build_propagator's U, exponentiated over the joint charge blocks of H."""
+    n = spec.topology.n
+    d = 2**n
+    h = np.zeros((2 * d, 2 * d), dtype=complex)
+    h[:d, :d] = h[d:, d:] = build_system_hamiltonian(spec)
+    h += build_interaction_hamiltonian(spec)
+    rows, cols = np.nonzero(h)
+    labels = [_register_charge(charge, n) for charge in _CHARGES]
+    kept = [q for q in labels if (q[rows] == q[cols]).all()]
+    block = np.ravel_multi_index(kept, [n + 2] * len(kept))
+    sizes = np.bincount(block)
+    u = np.zeros_like(h)
+    for size in set(sizes[sizes > 0].tolist()):
+        members = np.flatnonzero(sizes == size)
+        index = np.stack([np.flatnonzero(block == b) for b in members])
+        rows, cols = index[:, :, None], index[:, None, :]
+        u[rows, cols] = expm_hermitian(h[rows, cols], -1j * dt)
+    return u
 
 
 def _embed_pair(op_i, i, op_j, j, n):

@@ -35,6 +35,15 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 1
 
+    def test_usage_error_leaves_the_parser_reusable(self, capsys):
+        # main shares one parser across calls; a failed parse must not
+        # change how the next call parses.
+        assert main(["list-presets", "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(["list-presets"]) == 0
+        assert "fig5" in capsys.readouterr().out
+        assert runner_module._build_parser() is runner_module._build_parser()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "run" in capsys.readouterr().out

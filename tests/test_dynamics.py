@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import collisim.dynamics as dynamics_module
 import collisim.network as network_module
 from collisim.dynamics import (
+    _CHARGES,
+    _register_charge,
     MAX_RUN_BYTES,
     ProtocolConfig,
     ProtocolMode,
@@ -29,8 +31,6 @@ from collisim.linalg import (
     num_qubits_of,
 )
 from collisim.network import (
-    _CHARGES,
-    _register_charge,
     CouplingKind,
     NetworkSpec,
     Topology,
@@ -391,7 +391,7 @@ MINOR_WEIGHTS = st.one_of(
 
 
 def random_step_inputs(rng, charge, n_net, minor):
-    """(network, propagator, ancilla) that keep one of network._CHARGES.
+    """(network, propagator, ancilla) that keep one of dynamics._CHARGES.
 
     The propagator is a random unitary on each charge block of the
     register, the network state a random state pinched to the network's

@@ -1,11 +1,15 @@
 """Hamiltonian construction and its symmetries."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisim.linalg import (
+    ATOL_UNITARY,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Z,
@@ -25,7 +29,8 @@ from collisim.network import (
     preset_topology,
     qubit_label,
 )
-from reference import kron_pair_term
+from collisim.runner import PRESETS, ExperimentConfig, build_protocol, preset
+from reference import charge_block_propagator, kron_pair_term
 
 
 def ket(bits):
@@ -298,6 +303,96 @@ class TestPropagator:
             build_propagator(chain_spec(), 0.0)
         with pytest.raises(ValueError):
             build_propagator(chain_spec(), -0.1)
+
+
+def _oracle_configs():
+    """Configs on which H's components are its joint charge blocks."""
+    chain7 = [[1 if abs(i - j) == 1 else 0 for j in range(7)] for i in range(7)]
+    configs = {name: preset(name) for name in PRESETS}
+    configs["chain7_carry"] = ExperimentConfig(
+        topology=chain7, system_coupling="Exchange", ancilla_coupling="Exchange",
+        omega=5.0, target="A", mode="repeated", dt=0.4, steps=200, ancilla_init="1",
+    )
+    for omega in np.linspace(0.5, 30.0, 40):
+        configs[f"fig2_cm-omega{omega:g}"] = dataclasses.replace(
+            preset("fig2_cm"), omega=float(omega)
+        )
+    configs["fig6-omega0"] = dataclasses.replace(preset("fig6"), omega=0.0)
+    configs["fig2-omega0_0"] = dataclasses.replace(preset("fig2"), omega0=0.0)
+    return configs
+
+
+ORACLE_CONFIGS = _oracle_configs()
+
+# An open chain A-B-C beside a qubit D that nothing couples to.
+ISOLATED_D = Topology(4, np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]))
+
+
+@st.composite
+def topologies(draw):
+    """A random 0/1 adjacency on 1 to 4 qubits, or ISOLATED_D."""
+    if draw(st.booleans()):
+        return ISOLATED_D
+    n = draw(st.integers(1, 4))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(bits).reshape(n, n), 1)
+    return Topology(n, (upper | upper.T).astype(int))
+
+
+STRENGTHS = st.one_of(st.just(0.0), st.floats(0.1, 20.0))
+
+
+def components(h):
+    """Boolean (N, N): True where two register states are linked by a path
+    of nonzero entries of h, each state with itself included."""
+    reach = (h != 0) | np.eye(len(h), dtype=bool)
+    while True:
+        grown = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+class TestPropagatorBlocks:
+    """build_propagator exponentiates H over the blocks H couples."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    def test_matches_charge_block_reference(self, name):
+        protocol = build_protocol(ORACLE_CONFIGS[name])[0]
+        got = build_propagator(protocol.spec, protocol.dt)
+        assert np.array_equal(got, charge_block_propagator(protocol.spec, protocol.dt))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        topology=topologies(),
+        system=st.sampled_from(CouplingKind),
+        ancilla=st.sampled_from(CouplingKind),
+        omega0=STRENGTHS,
+        omega=STRENGTHS,
+        dt=st.floats(0.05, 1.0),
+        data=st.data(),
+    )
+    def test_zero_between_components_and_unitary(
+        self, topology, system, ancilla, omega0, omega, dt, data
+    ):
+        spec = NetworkSpec(
+            topology, system, omega0, ancilla, omega, data.draw(st.integers(0, topology.n - 1))
+        )
+        h = np.kron(IDENTITY_2, build_system_hamiltonian(spec))
+        h += build_interaction_hamiltonian(spec)
+        u = build_propagator(spec, dt)
+        assert not u[~components(h)].any()
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= ATOL_UNITARY
+        assert np.max(np.abs(u - expm_hermitian(h, -1j * dt))) <= 1e-12
+
+    def test_isolated_qubit_splits_the_charge_blocks(self):
+        # D's bit is conserved on its own, finer than any charge: U links
+        # no two states that differ in it, and moves by roundoff only.
+        spec = NetworkSpec(ISOLATED_D, CouplingKind.XX, 1.0, CouplingKind.ZZ, 5.0, 1)
+        got = build_propagator(spec, 0.4)
+        want = charge_block_propagator(spec, 0.4)
+        assert np.count_nonzero(got) == 128 < np.count_nonzero(want)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestNetworkSpecValidation:
