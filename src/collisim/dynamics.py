@@ -38,15 +38,13 @@ that keeps no charge, and a stack whose runs keep no charge in common, is
 stepped as one block: the same kernel with one sector. Sandwiches of one
 shape run as one batched product.
 
-The step takes stacks and treats each state as it would alone.
-run_protocols steps P runs of one size together through one set of
-propagator blocks, built once; run_protocol is its case P = 1. Only the
-current step's blocks are kept; each step scatters them into one
-Trajectory per run, which stays dense: a (steps + 1, d, d) array of
-network states, exactly 0 between sectors, and a (steps + 1, 2, 2) array
-of ancilla states, allocated before the first step and filled in place.
-ProtocolConfig bounds one run's size by MAX_RUN_BYTES before anything is
-allocated; sweep keeps its stacks within MAX_STACK_BYTES.
+The step takes stacks and treats each state as it would alone:
+run_protocols steps P runs of one size through one set of propagator
+blocks, built once, and run_protocol is its case P = 1. Each Trajectory
+keeps its run's (steps + 1, N) sector blocks, which pair reductions read
+directly, and its (steps + 1, 2, 2) ancillas; dense network states are
+built only on request. MAX_RUN_BYTES bounds a run, MAX_STACK_BYTES a
+sweep's stack.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (
+    _trace_index,
     NumericalError,
     check_density_matrix,
     check_pure_state,
@@ -87,20 +86,22 @@ _ANCILLA_DIAGONAL = np.array([0, 3])
 
 
 # Largest dense storage one run may commit: the trajectory's network states
-# plus the register propagator, at 16 B per complex entry.
+# plus the register propagator, at 16 B per complex entry: an upper bound, as
+# a trajectory keeps only its sector blocks.
 MAX_RUN_BYTES = 2 * 2**30
 
-# Largest stack of network trajectories that sweep steps together, about a
-# dozen n = 3 runs. Larger stacks trade memory for speed: a 202-point fig2_cm
-# sweep took 214-278 ms with 4 MiB against 318-355 ms with 1 MiB (2 vCPUs).
+# Largest stack of network trajectories, counted dense as above, that sweep
+# steps together, about a dozen n = 3 runs. Larger stacks trade memory for
+# speed: a 202-point fig2_cm sweep took 214-278 ms with 4 MiB against 318-355
+# ms with 1 MiB (2 vCPUs).
 MAX_STACK_BYTES = 2**20
 
 
 def check_run_size(num_qubits, steps):
     """Reject a run whose dense storage would exceed MAX_RUN_BYTES.
 
-    Needs (steps + 1) 4**n entries for the network trajectory and 4**(n+1)
-    for the propagator; nothing is allocated to find that out.
+    Counts (steps + 1) 4**n entries for a dense network trajectory, an upper
+    bound on its blocks, and 4**(n+1) for the propagator; allocates nothing.
     """
     need = ((steps + 1) * 4**num_qubits + 4 ** (num_qubits + 1)) * 16
     if need > MAX_RUN_BYTES:
@@ -112,7 +113,7 @@ def check_run_size(num_qubits, steps):
 
 
 def runs_per_stack(protocol):
-    """How many runs of this one's size fit in MAX_STACK_BYTES; at least one."""
+    """How many dense runs of this one's size fit in MAX_STACK_BYTES; at least one."""
     per_run = (protocol.steps + 1) * 4**protocol.spec.topology.n * 16
     return max(1, MAX_STACK_BYTES // per_run)
 
@@ -158,18 +159,47 @@ class ProtocolConfig:
 class Trajectory:
     """The network and ancilla marginals after every collision.
 
-    network has shape (steps + 1, d, d) and ancilla (steps + 1, 2, 2);
-    index n holds the states after the n-th collision, at time n * dt,
-    and index 0 the initial states.
+    blocks (steps + 1, N) holds the network states' sector blocks in the
+    run's partition, and ancilla (steps + 1, 2, 2) the ancilla states; row
+    n is after the n-th collision, at time n * dt. Indexing densifies only
+    the network states it selects: traj[n] is the (d, d) state of row n.
     """
 
     config: ProtocolConfig
-    network: np.ndarray
+    partition: _Partition
+    blocks: np.ndarray
     ancilla: np.ndarray
 
+    def __len__(self):
+        return len(self.blocks)
+
+    def __getitem__(self, index):
+        return self.partition.dense(self.blocks[index])
+
+    @property
+    def network(self):
+        """All network states as one dense (steps + 1, d, d) array, built on each access."""
+        return self[:]
+
     def network_states(self):
-        """The network states: the `network` array itself, not a copy."""
-        return self.network
+        """The network states, densified as indexed: the trajectory itself."""
+        return self
+
+    def pair_states(self, pairs):
+        """Each pair's reduction at every step, (steps + 1, len(pairs), 4, 4).
+
+        One gather from the blocks per discarded basis state, added in
+        partial_trace's order; the terms it skips, outside the sectors, are
+        exact zeros, so the states equal partial_trace's bit for bit.
+        """
+        n = self.config.spec.topology.n
+        entries, columns = _pair_gather(self.partition.charge, n, tuple(map(tuple, pairs)))
+        kept = np.zeros((len(self), len(entries)), dtype=complex)
+        for t_columns in columns:
+            kept += np.take(self.blocks, t_columns, axis=1)
+        states = np.zeros((len(self), 16 * len(pairs)), dtype=complex)
+        states[:, entries] = kept
+        return states.reshape(len(self), len(pairs), 4, 4)
 
 
 def _as_density(state, expected_qubits, what):
@@ -221,11 +251,10 @@ class _Partition(
     Sectors of one size b form a class, stored as a (P, S, b, b) view of
     the (P, N) array of a stack's blocks: classes lists (offset, charges,
     b) for each, and views the (column slice, shape) of that view. index
-    places the array in the flattened dense states, and is None for the
-    one block that is the whole state. For the array with the flattened
-    ancilla appended, (P, N + 4), transpose maps it to its blocks' and the
-    ancilla's transposes, and diagonal lists their diagonal entries,
-    network first.
+    places the array in the flattened dense states. For the array with
+    the flattened ancilla appended, (P, N + 4), transpose maps it to its
+    blocks' and the ancilla's transposes, and diagonal lists their
+    diagonal entries, network first.
     """
 
     __slots__ = ()
@@ -239,15 +268,14 @@ class _Partition(
 
     def gather(self, dense):
         """The (P, N) blocks of a (P, d, d) stack of states."""
-        flat = dense.reshape(len(dense), -1)
-        return flat if self.index is None else np.take(flat, self.index, axis=1)
+        return np.take(dense.reshape(len(dense), -1), self.index, axis=1)
 
-    def scatter(self, dense, blocks):
-        """Write (P, N) blocks into a (P, d, d) stack whose other entries are 0."""
-        if self.index is None:
-            dense[...] = blocks.reshape(dense.shape)
-        else:
-            dense.reshape(len(dense), -1)[:, self.index] = blocks
+    def dense(self, blocks):
+        """The (..., d, d) states of (..., N) blocks, exactly 0 between sectors."""
+        d = sum(map(len, self.sectors))
+        dense = np.zeros(blocks.shape[:-1] + (d * d,), dtype=complex)
+        dense[..., self.index] = blocks
+        return dense.reshape(blocks.shape[:-1] + (d, d))
 
 
 @functools.lru_cache(maxsize=32)
@@ -265,11 +293,9 @@ def _partition(charge, n):
     for b, charges in by_size.items():
         classes.append((offset, charges, b))
         offset += len(charges) * b * b
-    index = None
-    if len(sectors) > 1:
-        index = np.concatenate(
-            [(sectors[q][:, None] * d + sectors[q]).ravel() for _, qs, _ in classes for q in qs]
-        )
+    index = np.concatenate(
+        [(sectors[q][:, None] * d + sectors[q]).ravel() for _, qs, _ in classes for q in qs]
+    )
     views = [(slice(o, o + len(qs) * b * b), (-1, len(qs), b, b)) for o, qs, b in classes]
     entries = [np.arange(o, o + len(qs) * b * b).reshape(len(qs), b, b) for o, qs, b in classes]
     transpose = np.concatenate(
@@ -279,20 +305,42 @@ def _partition(charge, n):
         [e.diagonal(axis1=-2, axis2=-1).ravel() for e in entries] + [offset + _ANCILLA_DIAGONAL]
     )
     for shared in sectors + [index, transpose, diagonal]:
-        if shared is not None:
-            shared.flags.writeable = False
+        shared.flags.writeable = False
     return _Partition(charge, sectors, classes, index, views, transpose, diagonal)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_gather(charge, n, pairs):
+    """(entries, columns) that reduce the blocks of _partition(charge, n) onto pairs.
+
+    entries are the flat entries of the (len(pairs), 4, 4) reductions that
+    the sectors reach, and row t of columns the block column of each
+    one's term for the t-th discarded basis state, in partial_trace's
+    order. Charges add over qubits, so an entry's terms are all in the
+    sectors or all out. Cached, so callers share it; it is read-only.
+    """
+    index = _partition(charge, n).index
+    column = np.full(4**n, -1)
+    column[index] = np.arange(len(index))
+    flat = []
+    for pair in pairs:
+        if not (0 <= pair[0] < pair[1] < n):
+            raise ValueError(f"pair {pair} invalid for {n} qubits")
+        discard = tuple(q for q in range(n) if q not in pair)
+        flat.append(column[_trace_index(discard, n).reshape(-1, 16)])
+    flat = np.hstack(flat) if pairs else np.empty((1, 0), int)
+    entries = np.flatnonzero(flat[0] >= 0)
+    columns = flat[:, entries]
+    entries.flags.writeable = columns.flags.writeable = False
+    return entries, columns
 
 
 def _choose_partition(u, net, anc):
     """The finest charge partition that every run of a stack keeps.
 
-    A charge holds for a run when its propagator u is exactly 0 between
-    charges (U is 0 between the blocks H couples, so wherever H is), its
-    initial network state is exactly block-diagonal, and, for a charged
-    ancilla, the ancilla state is exactly diagonal. The no-charge
-    partition, one block, always holds. A network index is the register
-    index with the ancilla in |0>, so one label array tests both.
+    A charge holds as the module docstring says; the no-charge partition
+    always does. A network index is the register index with the ancilla
+    in |0>, so one label array tests u and the network states.
     """
     n = num_qubits_of(net.shape[-1])
     links = [np.nonzero(m)[-2:] for m in (u, net)]
@@ -515,9 +563,8 @@ def run_protocols(configs):
     repeated-interaction mode. For each run the initial states are
     validated and the propagator is built, its unitarity verified, once;
     the propagator blocks are laid out once for the stack, and the steps
-    trust all three. The trajectory arrays are allocated up front and
-    each step's blocks are scattered into their slot; slot 0 holds copies
-    of the initial states.
+    trust all three. Each step writes its blocks and ancillas to their
+    slot of arrays allocated up front; slot 0 holds the initial states.
     """
     steps, n_net = configs[0].steps, configs[0].spec.topology.n
     for config in configs:
@@ -532,18 +579,15 @@ def run_protocols(configs):
     u = np.array([build_propagator(c.spec, c.dt) for c in configs])
     partition = _choose_partition(u, net0, anc0)
     blocks = propagator_blocks(u, partition)
-    # Entries between sectors are never written and stay exactly 0.
-    network = np.zeros((len(configs), steps + 1) + net0.shape[1:], dtype=complex)
-    ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
-    network[:, 0], ancilla[:, 0] = net0, anc0
     net = partition.gather(net0)
+    network = np.empty((len(configs), steps + 1, net.shape[1]), dtype=complex)
+    ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
+    network[:, 0], ancilla[:, 0] = net, anc0
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
     for n in range(1, steps + 1):
         net, ancilla[:, n] = collision_step(net, blocks, np.where(carry, ancilla[:, n - 1], anc0))
-        partition.scatter(network[:, n], net)
-    return [
-        Trajectory(config, network[p], ancilla[p]) for p, config in enumerate(configs)
-    ]
+        network[:, n] = net
+    return [Trajectory(c, partition, network[p], ancilla[p]) for p, c in enumerate(configs)]
 
 
 def run_protocol(config):

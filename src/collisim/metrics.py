@@ -204,18 +204,13 @@ def pair_concurrences(trajectory, pairs=None):
     """Concurrence of each tracked pair at every step.
 
     Returns (pairs, table) where table has shape (steps + 1, len(pairs))
-    and row n belongs to the network state after the n-th collision. Each
-    pair is reduced over all steps in one partial_trace call, and the
-    whole table takes one stacked concurrence call.
+    and row n belongs to the network state after the n-th collision. The
+    reductions come from Trajectory.pair_states, and the whole table takes
+    one stacked concurrence call.
     """
-    n = trajectory.config.spec.topology.n
     if pairs is None:
-        pairs = all_pairs(n)
-    states = trajectory.network
-    reduced = np.empty((len(states), len(pairs), 4, 4), dtype=complex)
-    for col, pair in enumerate(pairs):
-        reduced[:, col] = reduced_pair(states, pair, n)
-    return pairs, concurrence(reduced)
+        pairs = all_pairs(trajectory.config.spec.topology.n)
+    return pairs, concurrence(trajectory.pair_states(pairs))
 
 
 def find_peaks(series, min_height):

@@ -400,7 +400,7 @@ def _analyze(cfg, trajectory, pairs, min_height):
     peaks = []
     for col, pair in enumerate(pairs):
         for index, value in find_peaks(table[:, col], min_height):
-            state = reduced_pair(trajectory.network[index], pair, n)
+            state = reduced_pair(trajectory[index], pair, n)
             label, fid = characterize_peak(state)
             peaks.append(PeakReport(pair, index, value, label, fid))
     peaks.sort(key=lambda p: (-p.concurrence, p.n, p.pair))
@@ -477,9 +477,9 @@ def sweep(base, param, values):
                 rows[batch[0][0]] = _failed_row(values[batch[0][0]], exc)
                 continue
             trajectories = [None] * len(batch)
-        for (index, (protocol, pairs, _)), trajectory in zip(batch, trajectories):
+        for (index, (protocol, pairs, _)), traj in zip(batch, trajectories):
             try:
-                _, table = pair_concurrences(trajectory or run_protocol(protocol), pairs)
+                _, table = pair_concurrences(run_protocol(protocol) if traj is None else traj, pairs)
             except _FAILURE_KINDS as exc:
                 rows[index] = _failed_row(values[index], exc)
                 continue

@@ -25,6 +25,11 @@ agree bit for bit wherever the components are those blocks.
 
 loop_find_peaks is find_peaks as a scan over runs of equal values, as it
 was before the runs came from one comparison of neighbours.
+
+dense_run_protocols and dense_pair_states are the dense route trajectories
+took before they kept sector blocks: run_protocols' loop scattering every
+step's blocks into a zeroed (P, steps + 1, d, d) array, and one
+reduced_pair call per pair on those dense states.
 """
 
 import numpy as np
@@ -32,6 +37,8 @@ import numpy as np
 from collisim import dynamics
 from collisim.dynamics import (
     _CHARGES,
+    _as_density,
+    _choose_partition,
     _register_charge,
     ProtocolMode,
     collision_step,
@@ -49,6 +56,7 @@ from collisim.linalg import (
     num_qubits_of,
     partial_trace,
 )
+from collisim.metrics import reduced_pair
 from collisim.network import (
     CouplingKind,
     build_interaction_hamiltonian,
@@ -196,3 +204,39 @@ def reference_trajectory(protocol, net0, anc0):
         states.append((net, anc_out))
         anc_in = anc0 if protocol.mode is ProtocolMode.COLLISION else anc_out
     return states
+
+
+def dense_run_protocols(configs):
+    """run_protocols' (network, ancilla) arrays, (P, steps + 1, d, d) and
+    (P, steps + 1, 2, 2), with every step scattered into a zeroed dense array."""
+    steps, n_net = configs[0].steps, configs[0].spec.topology.n
+    anc0 = np.array([_as_density(c.ancilla_init, 1, "ancilla state") for c in configs])
+    net0 = np.array([_as_density(c.network_init, n_net, "network state") for c in configs])
+    u = np.array([build_propagator(c.spec, c.dt) for c in configs])
+    partition = _choose_partition(u, net0, anc0)
+    blocks = propagator_blocks(u, partition)
+    # Entries between sectors are never written and stay exactly 0.
+    network = np.zeros((len(configs), steps + 1) + net0.shape[1:], dtype=complex)
+    ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
+    network[:, 0], ancilla[:, 0] = net0, anc0
+    net = partition.gather(net0)
+    carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
+    for n in range(1, steps + 1):
+        net, ancilla[:, n] = collision_step(net, blocks, np.where(carry, ancilla[:, n - 1], anc0))
+        network[:, n].reshape(len(configs), -1)[:, partition.index] = net
+    return network, ancilla
+
+
+def dense_pair_states(network, pairs, num_qubits):
+    """(steps + 1, len(pairs), 4, 4) reductions of dense states, one reduced_pair call per pair."""
+    reduced = np.empty((len(network), len(pairs), 4, 4), dtype=complex)
+    for col, pair in enumerate(pairs):
+        reduced[:, col] = reduced_pair(network, pair, num_qubits)
+    return reduced
+
+
+def assert_same_bits(got, want):
+    """Equal shapes, dtypes and bytes: signed zeros must match too."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()

@@ -1,7 +1,10 @@
 """Step map and protocol loop behaviour."""
 
 import dataclasses
+import importlib.util
+import pathlib
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,6 +33,7 @@ from collisim.linalg import (
     expm_hermitian,
     num_qubits_of,
 )
+from collisim.metrics import all_pairs, concurrence, pair_concurrences
 from collisim.network import (
     CouplingKind,
     NetworkSpec,
@@ -38,13 +42,25 @@ from collisim.network import (
     build_system_hamiltonian,
     preset_topology,
 )
-from collisim.runner import PRESETS, ExperimentConfig, build_protocol, preset
+from collisim.runner import (
+    PRESETS,
+    ExperimentConfig,
+    build_protocol,
+    config_from_dict,
+    preset,
+    run_experiment,
+)
 from reference import (
     ONE_BLOCK,
+    assert_same_bits,
+    dense_pair_states,
+    dense_run_protocols,
     one_block_step,
     reference_step,
     reference_trajectory,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 KET_ZERO = np.array([1.0, 0.0])
@@ -158,9 +174,17 @@ class TestRunProtocol:
         assert traj.network.shape == (8, 8, 8)
         assert traj.ancilla.shape == (8, 2, 2)
         assert traj.network.dtype == traj.ancilla.dtype == complex
-        assert traj.network_states() is traj.network
         assert np.array_equal(traj.network[0], density_from_pure(basis_ket(3)))
         assert np.array_equal(traj.ancilla[0], density_from_pure(KET_PLUS))
+        # The trajectory keeps blocks; network_states() is the trajectory
+        # itself, indexed step by step, and network a fresh dense array.
+        assert traj.network_states() is traj
+        assert len(traj) == 8 and traj.blocks.shape == (8, 64)
+        assert traj.network is not traj.network
+        for k in range(-8, 8):
+            assert np.array_equal(traj[k], traj.network[k])
+        assert np.array_equal(traj[2:5], traj.network[2:5])
+        assert np.array_equal(np.array(list(traj)), traj.network)
 
     def test_modes_agree_after_one_step(self):
         cm = run_protocol(make_config(mode=ProtocolMode.COLLISION, steps=1))
@@ -244,10 +268,8 @@ class TestRunProtocol:
                 anc0 = traj.ancilla[:1]
                 for n in range(1, cfg.steps + 1):
                     anc_in = anc0 if mode is ProtocolMode.COLLISION else traj.ancilla[n - 1 : n]
-                    net, anc = collision_step(
-                        partition.gather(traj.network[n - 1 : n]), blocks, anc_in
-                    )
-                    assert np.array_equal(net, partition.gather(traj.network[n : n + 1]))
+                    net, anc = collision_step(partition.gather(traj[n - 1 : n]), blocks, anc_in)
+                    assert np.array_equal(net, partition.gather(traj[n : n + 1]))
                     assert np.array_equal(anc, traj.ancilla[n : n + 1])
 
     def test_accepts_density_matrix_inputs(self):
@@ -417,9 +439,7 @@ def partition_step(nets, us, ancs, charge):
     with dense (P, d, d) network outputs."""
     partition = dynamics_module._partition(charge, num_qubits_of(nets.shape[-1]))
     flat, anc = collision_step(partition.gather(nets), propagator_blocks(us, partition), ancs)
-    out = np.zeros_like(nets)
-    partition.scatter(out, flat)
-    return out, anc
+    return partition.dense(flat), anc
 
 
 class TestStepMap:
@@ -764,7 +784,7 @@ class TestChargeSectors:
     def test_runs_without_a_kept_charge_step_as_one_block(self, monkeypatch, protocol):
         partition, _ = partition_of(monkeypatch, [protocol()])
         assert partition.charge == ONE_BLOCK
-        assert partition.index is None
+        assert len(partition.sectors) == 1
 
     def test_mixed_partition_stack_steps_as_one_block(self, monkeypatch):
         # Alone, the first run steps by excitation number and the second as
@@ -789,3 +809,108 @@ class TestChargeSectors:
         monkeypatch.setattr(network_module, "build_system_hamiltonian", counted)
         run_protocols([chain_protocol(4), chain_protocol(4, omega=3.0)])
         assert len(builds) == 2
+
+
+# The six presets, fig5 and fig6 also in collision mode, and chain7_carry's settings.
+DENSE_ROUTE_CASES = [*PRESETS, "fig5-collision", "fig6-collision", "chain7_carry"]
+
+
+def dense_route_protocol(case):
+    """The protocol of a DENSE_ROUTE_CASES entry: a preset, in the mode after "-" if given."""
+    if case == "chain7_carry":
+        return chain_protocol(7, steps=200)
+    name, _, mode = case.partition("-")
+    return build_protocol(dataclasses.replace(preset(name), mode=mode or preset(name).mode))[0]
+
+
+def bench_chain_config(n):
+    """bench/workloads.chain_config(n): the chain7_carry workload's config document."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.chain_config(n)
+
+
+class TestBlockTrajectory:
+    """Trajectories keep sector blocks; densified, they are the dense route's arrays."""
+
+    @pytest.mark.parametrize("case", DENSE_ROUTE_CASES)
+    def test_matches_dense_route(self, case):
+        protocol = dense_route_protocol(case)
+        traj = run_protocol(protocol)
+        network, ancilla = dense_run_protocols([protocol])
+        assert_same_bits(traj.network, network[0])
+        assert_same_bits(traj.ancilla, ancilla[0])
+        assert_same_bits(traj[-1], network[0, -1])
+        pairs = all_pairs(protocol.spec.topology.n)
+        reduced = dense_pair_states(network[0], pairs, protocol.spec.topology.n)
+        assert_same_bits(traj.pair_states(pairs), reduced)
+        assert_same_bits(pair_concurrences(traj)[1], concurrence(reduced))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        points=st.sampled_from([1, 2, 5]),
+        system=st.sampled_from(list(CouplingKind)),
+        ancilla=st.sampled_from(list(CouplingKind)),
+        mixed=st.booleans(),
+        data=st.data(),
+    )
+    def test_stacks_match_dense_route(self, seed, n, points, system, ancilla, mixed, data):
+        # Diagonal ancillas and basis-state networks keep the charges the
+        # couplings conserve, so those stacks step by sectors; mixed states
+        # step as one block.
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        configs = []
+        for _ in range(points):
+            p = rng.choice([0.0, 1.0, rng.uniform()])
+            configs.append(
+                ProtocolConfig(
+                    spec=NetworkSpec(
+                        topology=Topology(n, upper + upper.T),
+                        system_coupling=system,
+                        omega0=1.0,
+                        ancilla_coupling=ancilla,
+                        omega=data.draw(st.floats(0.0, 20.0)),
+                        target=data.draw(st.integers(0, n - 1)),
+                    ),
+                    mode=data.draw(st.sampled_from(list(ProtocolMode))),
+                    dt=data.draw(st.floats(0.01, 1.0)),
+                    steps=8,
+                    ancilla_init=random_ancilla(rng, p) if mixed else np.diag([1.0 - p, p]),
+                    network_init=random_density(rng, 2**n)
+                    if mixed
+                    else basis_ket(n, data.draw(st.integers(0, 2**n - 1))),
+                )
+            )
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs(n)), min_size=1, unique=True))
+        network, ancilla = dense_run_protocols(configs)
+        for p, traj in enumerate(run_protocols(configs)):
+            assert_same_bits(traj.network, network[p])
+            assert_same_bits(traj.ancilla, ancilla[p])
+            reduced = dense_pair_states(network[p], pairs, n)
+            assert_same_bits(traj.pair_states(pairs), reduced)
+            assert_same_bits(pair_concurrences(traj, pairs)[1], concurrence(reduced))
+
+    def test_chain7_carry_stores_blocks_only(self):
+        # The dense (201, 128, 128) trajectory alone takes 52.7 MB; the
+        # blocks take 11.0 MB, and the whole run must stay well below the
+        # dense array.
+        cfg = config_from_dict(bench_chain_config(7))
+        tracemalloc.start()
+        try:
+            result = run_experiment(cfg)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            last = result.trajectory.network_states()[-1]
+            densify_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert result.trajectory.blocks.shape == (201, 3432)
+        assert run_peak < 32 * 2**20
+        # One dense 128 x 128 state is 256 KiB.
+        assert densify_peak < 2 * 16 * 128 * 128
+        assert np.array_equal(last, result.trajectory.network[-1])

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisim.dynamics import ProtocolConfig, ProtocolMode, run_protocol
+from collisim import dynamics
+from collisim.dynamics import (
+    _CHARGES,
+    _register_charge,
+    ProtocolConfig,
+    ProtocolMode,
+    Trajectory,
+    run_protocol,
+)
 from collisim.linalg import NumericalError, density_from_pure
 from collisim.metrics import (
     all_pairs,
@@ -18,9 +26,16 @@ from collisim.metrics import (
     purity,
     reduced_pair,
 )
-from collisim.network import CouplingKind, NetworkSpec, preset_topology
+from collisim.network import CouplingKind, NetworkSpec, Topology, preset_topology
 from collisim.runner import build_protocol, config_from_dict, preset
-from reference import eigh_concurrence, eigvals_general, loop_find_peaks, spin_flip
+from reference import (
+    assert_same_bits,
+    dense_pair_states,
+    eigh_concurrence,
+    eigvals_general,
+    loop_find_peaks,
+    spin_flip,
+)
 
 RT2 = 1.0 / np.sqrt(2.0)
 PHI_PLUS = np.array([RT2, 0, 0, RT2], dtype=complex)
@@ -515,9 +530,75 @@ class TestPairConcurrences:
         with pytest.raises(LapackCalled):
             pair_concurrences(trajectories["fig6"])
 
+    def test_rejects_bad_pairs(self):
+        traj = self.make_trajectory(steps=3)
+        for bad in [(1, 1), (0, 3), (2, 0), (-1, 2)]:
+            with pytest.raises(ValueError, match=rf"pair \({bad[0]}, {bad[1]}\) invalid for 3"):
+                pair_concurrences(traj, [(0, 1), bad])
+
+    def test_no_pairs_gives_an_empty_table(self):
+        pairs, table = pair_concurrences(self.make_trajectory(steps=3), [])
+        assert pairs == [] and table.shape == (4, 0)
+
     def test_all_pairs_helper(self):
         assert all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
         assert all_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def block_trajectory(charge, arrays):
+    """A Trajectory holding (steps + 1, d, d) arrays pinched to the sectors
+    of the partition by charge, as a run keeping that charge stores them."""
+    n = int(np.log2(arrays.shape[-1]))
+    spec = NetworkSpec(
+        Topology(n, np.zeros((n, n), int)), CouplingKind.XX, 1.0, CouplingKind.XX, 1.0, 0
+    )
+    config = ProtocolConfig(
+        spec=spec, mode=ProtocolMode.COLLISION, dt=0.1, steps=len(arrays) - 1,
+        ancilla_init=np.eye(2) / 2.0, network_init=arrays[0],
+    )
+    partition = dynamics._partition(charge, n)
+    ancilla = np.broadcast_to(np.eye(2, dtype=complex) / 2.0, (len(arrays), 2, 2))
+    return Trajectory(config, partition, partition.gather(arrays), ancilla)
+
+
+class TestBlockReductions:
+    """Pair reductions from sector blocks against one partial_trace per pair on dense states."""
+
+    @pytest.mark.parametrize("charge", _CHARGES)
+    def test_every_pair_reads_the_dense_entries(self, charge):
+        # Random entries, not states, so a misplaced gather column shows as
+        # a wrong value; every entry's terms lie all in or all out of the sectors.
+        rng = np.random.default_rng(7)
+        for n in range(2, 7):
+            shape = (3, 2**n, 2**n)
+            traj = block_trajectory(charge, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            labels = _register_charge(charge, n)[: 2**n]
+            assert not traj.network[:, labels[:, None] != labels].any()
+            pairs = all_pairs(n)
+            assert_same_bits(traj.pair_states(pairs), dense_pair_states(traj.network, pairs, n))
+            # The entries kept have a term in the sectors at every t.
+            entries, columns = dynamics._pair_gather(charge, n, tuple(pairs))
+            assert (columns >= 0).all() and len(entries) == columns.shape[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        charge=st.sampled_from(_CHARGES),
+        steps=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_states_and_tables_match_dense_route(self, seed, n, charge, steps, data):
+        # Pinching a state to the sectors keeps it a state; the pairs are a
+        # random subset, possibly empty.
+        rng = np.random.default_rng(seed)
+        traj = block_trajectory(
+            charge, np.array([random_density(rng, 2**n) for _ in range(steps + 1)])
+        )
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs(n)), unique=True))
+        reduced = dense_pair_states(traj.network, pairs, n)
+        assert_same_bits(traj.pair_states(pairs), reduced)
+        assert_same_bits(pair_concurrences(traj, pairs)[1], concurrence(reduced))
 
 
 class TestFindPeaks:

@@ -82,6 +82,18 @@ def documented_sources():
         yield f"README.md python block {k}", block
 
 
+def test_readme_python_blocks_run_in_order(capsys):
+    # The blocks build on each other, as a reader runs them: the second
+    # reduces the first one's trajectory, densified on request.
+    blocks = [(where, src) for where, src in documented_sources() if where.startswith("README")]
+    assert len(blocks) >= 2
+    namespace = {}
+    for where, block in blocks:
+        exec(compile(block, where, "exec"), namespace)
+    assert 0.0 <= float(namespace["c_ac"].max()) <= 1.0
+    assert capsys.readouterr().out
+
+
 def test_demo_and_readme_imports_resolve():
     resolved = set()
     for where, source in documented_sources():
