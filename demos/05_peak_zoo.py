@@ -25,7 +25,7 @@ catalog = bell_catalog()
 
 print(f"{len(result.peaks)} peaks at or above 0.9 over {result.config.steps} steps\n")
 for peak in sorted(result.peaks, key=lambda p: p.n):
-    state = reduced_pair(result.trajectory.network[peak.n], peak.pair, 3)
+    state = reduced_pair(result.trajectory[peak.n], peak.pair, 3)
     profile = {t.label: fidelity(state, t.state) for t in catalog}
     ranked = sorted(profile.items(), key=lambda kv: -kv[1])[:3]
     shown = ", ".join(f"{lab}: {f:.3f}" for lab, f in ranked)
@@ -38,7 +38,7 @@ for peak in sorted(result.peaks, key=lambda p: p.n):
 # Bell state alone describes it, but the balanced combination does.
 odd = [p for p in result.peaks if abs(p.n - 78) <= 1 and pair_label(p.pair) == "AC"]
 if odd:
-    state = reduced_pair(result.trajectory.network[odd[0].n], odd[0].pair, 3)
+    state = reduced_pair(result.trajectory[odd[0].n], odd[0].pair, 3)
     amp = np.linalg.eigh(state)[1][:, -1]
     amp = amp * np.exp(-1j * np.angle(amp[0]))
     print("\ndominant eigenvector of the n=78 AC state (global phase fixed):")

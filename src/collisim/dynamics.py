@@ -33,8 +33,9 @@ only this module knows them. A charge holds for a run when U is exactly
 0 between charges (build_propagator exponentiates H over the blocks it
 couples, so U is 0 wherever H is), the initial network state is exactly
 block-diagonal, and, for a charged ancilla, the ancilla state is exactly
-diagonal, so Y_ja = eta_aa X_ja and only the ancilla's diagonal is filled; a carried charged ancilla then stays exactly diagonal. A run
-that keeps no charge, and a stack whose runs keep no charge in common, is
+diagonal, so Y_ja = eta_aa X_ja and only the ancilla's diagonal is
+filled; a carried charged ancilla then stays exactly diagonal. A run that
+keeps no charge, and a stack whose runs keep no charge in common, is
 stepped as one block: the same kernel with one sector. Sandwiches of one
 shape run as one batched product.
 
@@ -50,7 +51,7 @@ sweep's stack.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,9 +106,14 @@ def check_run_size(num_qubits, steps):
     """
     need = ((steps + 1) * 4**num_qubits + 4 ** (num_qubits + 1)) * 16
     if need > MAX_RUN_BYTES:
+        # A float overflows above about 527 qubits. decimal is imported only
+        # here: it adds about 2 ms to start-up (2-vCPU host), and no run that
+        # fits needs it.
+        from decimal import Decimal
+
         raise ValueError(
             f"steps={steps} on {num_qubits} network qubits needs "
-            f"{need / 2**30:.3g} GiB of dense storage, above the "
+            f"{Decimal(need) / 2**30:.3g} GiB of dense storage, above the "
             f"{MAX_RUN_BYTES / 2**30:g} GiB limit; use fewer steps or qubits"
         )
 
@@ -359,51 +365,41 @@ def _cleanup(blocks, anc, partition):
     class of the partition, and anc the (P, 2, 2) ancilla states; both
     are cleaned in one pass over their flattened concatenation, (P, N + 4),
     whose transposes and diagonal entries the partition indexes. Returns
-    the cleaned (P, N) network blocks and (P, 2, 2) ancillas. A run that
-    needs more than roundoff repair aborts the run (see _reject); one test
-    also catches a non-finite entry, which makes a defect NaN or inf.
+    the cleaned (P, N) network blocks and (P, 2, 2) ancillas. A stack
+    where a network or ancilla needs more than MAX_STEP_CORRECTION of
+    repair aborts, naming the first such run: a state's hermiticity defect
+    is half its largest |rho - rho^dagger| entry, its trace defect the
+    distance of its trace from 1, and a non-finite entry, which makes a
+    defect NaN or inf, is reported as such.
     """
     p, n = len(anc), len(partition.transpose) - 4
     both = np.concatenate([rho.reshape(p, -1) for rho in blocks] + [anc.reshape(p, 4)], axis=1)
     adjoint = np.take(both, partition.transpose, axis=1).conj()
+    gap = np.abs(both - adjoint)
     # Hermitizing keeps the real part of every diagonal entry exactly, so
     # these traces, network then ancilla, also renormalize the result.
     diagonal = np.take(both, partition.diagonal, axis=1).real
     traces = np.add.reduceat(diagonal, (0, diagonal.shape[1] - 2), axis=1)
+    trace = np.abs(traces - 1.0)
     # Written so that a NaN defect fails too: every comparison with NaN is False.
-    if not (
-        np.abs(both - adjoint).max() <= 2.0 * MAX_STEP_CORRECTION
-        and np.abs(traces - 1.0).max() <= MAX_STEP_CORRECTION
-    ):
-        d = diagonal.shape[1] - 2
-        _reject(both[:, :n], partition.transpose[:n], partition.diagonal[:d], "network state")
-        _reject(both[:, n:], _ANCILLA_TRANSPOSE, _ANCILLA_DIAGONAL, "ancilla state")
+    if not (gap.max() <= 2.0 * MAX_STEP_CORRECTION and trace.max() <= MAX_STEP_CORRECTION):
+        # Each run's defects as (P, 2) columns, network then ancilla.
+        finite = np.logical_and.reduceat(np.isfinite(both), (0, n), axis=1)
+        herm = np.maximum.reduceat(gap, (0, n), axis=1) / 2.0
+        over = ~(np.maximum(herm, trace) <= MAX_STEP_CORRECTION)
+        for k, what in enumerate(("network state", "ancilla state")):
+            if not finite[:, k].all():
+                where, _ = first_flagged(~finite[:, k], finite[:, k])
+                raise NumericalError(f"{what} contains non-finite entries{where}")
+            if over[:, k].any():
+                where, h = first_flagged(over[:, k], herm[:, k])
+                _, t = first_flagged(over[:, k], trace[:, k])
+                raise NumericalError(
+                    f"{what} needs correction beyond budget: hermiticity {h}, trace {t}{where}"
+                )
     both += adjoint
     both *= np.repeat(0.5 / traces, (n, 4), axis=1)
     return both[:, :n], both[:, n:].reshape(p, 2, 2)
-
-
-def _reject(flat, transpose, diagonal, what):
-    """Raise _cleanup's NumericalError for the first run of a state that
-    needs more than MAX_STEP_CORRECTION of repair, if one does.
-
-    A run's hermiticity defect is half its largest |rho - rho^dagger|
-    entry over all blocks, and its trace defect is the distance of the
-    summed trace from 1.
-    """
-    finite = np.isfinite(flat).all(axis=-1)
-    if not finite.all():
-        where, _ = first_flagged(~finite, finite)
-        raise NumericalError(f"{what} contains non-finite entries{where}")
-    herm_defect = np.abs(flat - np.take(flat, transpose, axis=1).conj()).max(axis=-1) / 2.0
-    trace_defect = np.abs(np.take(flat, diagonal, axis=1).real.sum(axis=-1) - 1.0)
-    over = ~(np.maximum(herm_defect, trace_defect) <= MAX_STEP_CORRECTION)
-    if over.any():
-        where, herm = first_flagged(over, herm_defect)
-        _, trace = first_flagged(over, trace_defect)
-        raise NumericalError(
-            f"{what} needs correction beyond budget: hermiticity {herm}, trace {trace}{where}"
-        )
 
 
 class _Group(namedtuple("_Group", "s_class s_pos t_class t_pos u u_adj ja diagonal")):
@@ -430,8 +426,9 @@ def propagator_blocks(u, partition):
     charge. Returns (partition, groups), the _Groups of sandwiches that
     the step runs. Each sandwich links a sector pair (q, t): an uncharged
     ancilla keeps the charge, and the block U_ja for a charged one moves
-    it by a - j. Pairs with the same shape and number of blocks form a
-    group, unless it already has their target.
+    it by a - j. Pairs of one shape and number of blocks are grouped by
+    rank: the k-th such pair into a target joins that shape's k-th group,
+    so no group has a target twice.
     """
     d = u.shape[-1] // 2
     home = {}
@@ -444,19 +441,14 @@ def propagator_blocks(u, partition):
             t = partition.target(q, a - j if partition.charge[1] else 0)
             if t is not None:
                 links.setdefault((q, t), []).append((j, a))
-    grouped = {}
+    grouped, rank = {}, Counter()
     for (q, t), ja in links.items():
         key = (len(partition.sectors[t]), len(partition.sectors[q]), len(ja))
-        bins = grouped.setdefault(key, [])
-        for members in bins:
-            if t not in [t2 for (_, t2), _ in members]:
-                members.append(((q, t), ja))
-                break
-        else:
-            bins.append([((q, t), ja)])
+        rank[key, t] += 1
+        grouped.setdefault(key, {}).setdefault(rank[key, t], []).append(((q, t), ja))
     groups = []
     for bins in grouped.values():
-        for members in bins:
+        for members in bins.values():
             src = np.array([partition.sectors[q] for (q, _), _ in members])
             dst = np.array([partition.sectors[t] for (_, t), _ in members])
             ja = np.array([ja for _, ja in members])
@@ -484,8 +476,9 @@ def propagator_blocks(u, partition):
                     (ja[:, :, 0].ravel() == [[0], [1]]) if partition.charge[1] else None,
                 )
             )
-    # Groups that cover a whole class go first, so the step can take the
-    # first one's sandwiches as the class's output and add the rest to it.
+    # Groups that cover a whole class go first. Every class has one, so the
+    # step takes the first group's sandwiches into a class as its output and
+    # adds the rest to it.
     groups.sort(key=lambda g: g.t_pos is not None)
     return partition, groups
 
@@ -525,16 +518,13 @@ def collision_step(net, blocks, anc):
         # sum_jb Y_jb U_jb^dagger = hstack(Y) @ vstack(U^dagger).
         y_row = y.reshape(p, s, -1, b_t, b_s).swapaxes(-3, -2).reshape(p, s, b_t, -1)
         sandwich = y_row @ g.u_adj
-        target = out[g.t_class]
-        if target is None and g.t_pos is None:
+        # The first group into a class covers it whole (see propagator_blocks).
+        if out[g.t_class] is None:
             out[g.t_class] = sandwich
+        elif g.t_pos is None:
+            out[g.t_class] += sandwich
         else:
-            if target is None:
-                target = out[g.t_class] = np.zeros_like(rho[g.t_class])
-            if g.t_pos is None:
-                target += sandwich
-            else:
-                target[:, g.t_pos] += sandwich
+            out[g.t_class][:, g.t_pos] += sandwich
         # anc'_jk = sum_b tr(Y_jb U_kb^dagger); vecdot conjugates its first
         # argument and sums in the order vdot does. Blocks with another a
         # never share a sector pair, so a charged ancilla gets only its

@@ -289,6 +289,11 @@ def build_protocol(cfg):
     for key in ("omega0", "omega"):
         if numbers[key] < 0:
             raise ValueError(f"config key {key} must be non-negative, got {numbers[key]!r}")
+    steps = _parse_steps(cfg.steps)
+    # Bound the run before the O(n**2) topology checks and the 2**n network
+    # ket below; ProtocolConfig checks it again.
+    if isinstance(cfg.topology, (list, tuple)):
+        check_run_size(len(cfg.topology), steps)
     topology = _parse_topology(cfg.topology)
     n = topology.n
     target = _parse_qubit(cfg.target, "target")
@@ -305,10 +310,6 @@ def build_protocol(cfg):
     mode_key = str(cfg.mode).lower()
     if mode_key not in _MODES:
         raise ValueError(f'mode must be "collision" or "repeated", got {cfg.mode!r}')
-    steps = _parse_steps(cfg.steps)
-    # ProtocolConfig checks this too, but the network ket built for it
-    # below already takes 2**n entries.
-    check_run_size(n, steps)
     network_init = "0" * n if cfg.network_init is None else cfg.network_init
     protocol = ProtocolConfig(
         spec=spec,
@@ -454,7 +455,8 @@ def sweep(base, param, values):
     trajectories. A row holds each pair's top concurrence peak, read off the
     table without characterizing it; rows keep the given order. A failing
     point is recorded in its row and does not abort the others: a stack
-    that fails is rerun one point at a time, so only the bad point fails.
+    that fails, stepping or tabulating, is rerun one point at a time
+    through the same path, so only the bad point fails.
     """
     if param not in ("omega", "dt"):
         raise ValueError(f"sweep parameter must be omega or dt, got {param!r}")
@@ -468,21 +470,23 @@ def sweep(base, param, values):
         except _FAILURE_KINDS as exc:
             rows[index] = _failed_row(value, exc)
     size = runs_per_stack(valid[0][1][0]) if valid else 1
-    for start in range(0, len(valid), size):
-        batch = valid[start : start + size]
+    stacks = [valid[start : start + size] for start in range(0, len(valid), size)]
+    # A stack that fails appends its points as stacks of one, which this
+    # loop reaches in turn; a stack of one that fails records its row.
+    for batch in stacks:
         try:
             trajectories = run_protocols([protocol for _, (protocol, _, _) in batch])
+            tables = [
+                pair_concurrences(traj, pairs)[1]
+                for traj, (_, (_, pairs, _)) in zip(trajectories, batch)
+            ]
         except _FAILURE_KINDS as exc:
             if len(batch) == 1:
                 rows[batch[0][0]] = _failed_row(values[batch[0][0]], exc)
-                continue
-            trajectories = [None] * len(batch)
-        for (index, (protocol, pairs, _)), traj in zip(batch, trajectories):
-            try:
-                _, table = pair_concurrences(run_protocol(protocol) if traj is None else traj, pairs)
-            except _FAILURE_KINDS as exc:
-                rows[index] = _failed_row(values[index], exc)
-                continue
+            else:
+                stacks += [[point] for point in batch]
+            continue
+        for (index, (_, pairs, _)), table in zip(batch, tables):
             top = {}
             for col, pair in enumerate(pairs):
                 found = find_peaks(table[:, col], 0.0)
@@ -498,15 +502,14 @@ def emit_csv(result, path):
     order, then the purity of the recorded ancilla state. Floats carry
     12 significant digits.
     """
-    labels = [pair_label(p) for p in result.pairs]
-    header = "step,time," + ",".join(f"C_{lab}" for lab in labels) + ",ancilla_purity"
+    header = ["step", "time"] + [f"C_{pair_label(p)}" for p in result.pairs] + ["ancilla_purity"]
     dt = result.trajectory.config.dt
     purities = purity(result.trajectory.ancilla)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(header) + "\n")
         for row, anc_purity in enumerate(purities):
             cells = [str(row), f"{row * dt:.12g}"]
-            cells += [f"{result.table[row, col]:.12g}" for col in range(len(labels))]
+            cells += [f"{c:.12g}" for c in result.table[row]]
             cells.append(f"{anc_purity:.12g}")
             fh.write(",".join(cells) + "\n")
 

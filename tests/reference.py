@@ -26,6 +26,10 @@ agree bit for bit wherever the components are those blocks.
 loop_find_peaks is find_peaks as a scan over runs of equal values, as it
 was before the runs came from one comparison of neighbours.
 
+first_fit_groups is propagator_blocks' grouping of sector links as it was
+before the grouping rule was stated by rank: each link joins the first
+group of its shape that does not have its target yet.
+
 dense_run_protocols and dense_pair_states are the dense route trajectories
 took before they kept sector blocks: run_protocols' loop scattering every
 step's blocks into a zeroed (P, steps + 1, d, d) array, and one
@@ -204,6 +208,31 @@ def reference_trajectory(protocol, net0, anc0):
         states.append((net, anc_out))
         anc_in = anc0 if protocol.mode is ProtocolMode.COLLISION else anc_out
     return states
+
+
+def first_fit_groups(partition):
+    """propagator_blocks' groups as lists of (q, t, blocks) links, in its order."""
+    links = {}
+    for q in range(len(partition.sectors)):
+        for j, a in dynamics._ALL_BLOCKS:
+            t = partition.target(q, a - j if partition.charge[1] else 0)
+            if t is not None:
+                links.setdefault((q, t), []).append((j, a))
+    grouped = {}
+    for (q, t), ja in links.items():
+        key = (len(partition.sectors[t]), len(partition.sectors[q]), len(ja))
+        bins = grouped.setdefault(key, [])
+        for members in bins:
+            if t not in [t2 for _, t2, _ in members]:
+                members.append((q, t, ja))
+                break
+        else:
+            bins.append([(q, t, ja)])
+    groups = [members for bins in grouped.values() for members in bins]
+    # Groups whose targets are a whole class, in order, go first.
+    whole = [tuple(charges) for _, charges, _ in partition.classes]
+    groups.sort(key=lambda members: tuple(t for _, t, _ in members) not in whole)
+    return groups
 
 
 def dense_run_protocols(configs):

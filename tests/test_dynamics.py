@@ -18,6 +18,7 @@ from collisim.dynamics import (
     _CHARGES,
     _register_charge,
     MAX_RUN_BYTES,
+    check_run_size,
     ProtocolConfig,
     ProtocolMode,
     collision_step,
@@ -55,6 +56,7 @@ from reference import (
     assert_same_bits,
     dense_pair_states,
     dense_run_protocols,
+    first_fit_groups,
     one_block_step,
     reference_step,
     reference_trajectory,
@@ -166,6 +168,37 @@ class TestStackedStep:
         # The trace defect is 0.1 up to the step's roundoff.
         trace = re.search(r"trace (\S+) ", str(caught.value)).group(1)
         assert abs(float(trace) - 0.1) <= 1e-12
+
+
+class TestCleanup:
+    @pytest.mark.parametrize("what", ["network", "ancilla"])
+    @pytest.mark.parametrize("defect", ["inf", "trace", "hermiticity"])
+    def test_names_the_middle_run_of_a_stack(self, what, defect):
+        # Three runs, the middle one bad; an ancilla defect of an earlier
+        # run is named only when no network is bad.
+        partition = dynamics_module._partition(ONE_BLOCK, 3)
+        nets = np.stack([density_from_pure(basis_ket(3, k)) for k in range(3)])
+        ancs = np.stack([density_from_pure(KET_PLUS)] * 3)
+        bad = (nets if what == "network" else ancs)[1]
+        if defect == "inf":
+            bad[0, 1] = np.inf
+        elif defect == "trace":
+            bad *= 1.1
+        else:
+            bad[0, 1] += 1e-3
+        if what == "network":
+            ancs[0] *= 2.0
+        with pytest.raises(NumericalError) as caught:
+            dynamics_module._cleanup([nets.reshape(3, 1, 8, 8)], ancs, partition)
+        message = str(caught.value)
+        assert message.startswith(f"{what} state ")
+        assert message.endswith(" (stack index 1)")
+        if defect == "inf":
+            assert "contains non-finite entries" in message
+        else:
+            found = re.search(r"beyond budget: hermiticity (\S+), trace (\S+) ", message)
+            want = (0.0, 0.1) if defect == "trace" else (5e-4, 0.0)
+            assert np.allclose([float(v) for v in found.groups()], want, rtol=0, atol=1e-12)
 
 
 class TestRunProtocol:
@@ -313,6 +346,11 @@ class TestValidation:
         assert chain_config(9, 507).steps == 507
         with pytest.raises(ValueError, match="steps=508 on 9 network qubits"):
             chain_config(9, 508)
+        # Above about 527 qubits the byte count no longer fits in a float.
+        with pytest.raises(ValueError, match=r"steps=8 on 600 network qubits needs \S+ GiB"):
+            check_run_size(600, 8)
+        with pytest.raises(ValueError, match="steps=8 on 600 network qubits"):
+            make_config(spec=make_spec(topology=Topology(600, np.zeros((600, 600), int))), steps=8)
 
     def test_rejects_bad_dt(self):
         for dt in (0.0, np.nan, np.inf):
@@ -829,6 +867,47 @@ def bench_chain_config(n):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads.chain_config(n)
+
+
+def zero_blocks(charge, n):
+    """propagator_blocks' (partition, groups) for the charge, from a zero propagator."""
+    partition = dynamics_module._partition(charge, n)
+    return propagator_blocks(np.zeros((1, 2 ** (n + 1), 2 ** (n + 1)), dtype=complex), partition)
+
+
+class TestPropagatorBlocks:
+    @pytest.mark.parametrize("charge", _CHARGES)
+    def test_first_group_into_each_class_covers_it(self, charge):
+        # collision_step takes the first group's sandwiches into a class as
+        # the class's output, so that group must cover it whole.
+        for n in range(1, 9):
+            partition, groups = zero_blocks(charge, n)
+            first = {}
+            for g in groups:
+                first.setdefault(g.t_class, g)
+            assert sorted(first) == list(range(len(partition.classes)))
+            assert all(g.t_pos is None for g in first.values())
+
+    @pytest.mark.parametrize("charge", _CHARGES)
+    def test_groups_match_first_fit(self, charge):
+        for n in range(1, 8):
+            partition, groups = zero_blocks(charge, n)
+
+            def charges(c, pos):
+                qs = partition.classes[c][1]
+                return qs if pos is None else [qs[i] for i in pos]
+
+            got = [
+                list(
+                    zip(
+                        charges(g.s_class, g.s_pos),
+                        charges(g.t_class, g.t_pos),
+                        [[tuple(b) for b in blocks] for blocks in g.ja.tolist()],
+                    )
+                )
+                for g in groups
+            ]
+            assert got == first_fit_groups(partition)
 
 
 class TestBlockTrajectory:

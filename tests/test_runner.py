@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -262,6 +263,21 @@ class TestBuildProtocol:
         assert isinstance(rows[0].error, ValueError)
         assert "steps=80 on 12 network qubits" in str(rows[0].error)
 
+    def test_run_size_is_bounded_before_the_topology_is_checked(self):
+        # 6000 rows that are one aliased list: checking every entry would
+        # take O(n**2) work, but the row count alone is over the limit.
+        row = "[" + ", ".join(["0"] * 6000) + "]"
+        doc = config_to_dict(small_config(steps=8))
+        doc["topology"] = yaml.safe_load("[&r " + row + ", " + ", ".join(["*r"] * 5999) + "]")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="steps=8 on 6000 network qubits"):
+                config_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_topology_errors_name_the_key(self):
         for bad in (
             "ring3",
@@ -361,8 +377,10 @@ class TestSweep:
         assert rows[2].error is None and rows[2].top
 
     def test_points_are_stepped_in_stacks(self, monkeypatch):
-        # A fig2_cm run stores 81 states of 64 entries, 82944 bytes, so 12
-        # runs fill the 1 MiB stack; 30 points take stacks of 12, 12 and 6.
+        # runs_per_stack counts a fig2_cm run as 81 dense states of 64
+        # entries, 82944 bytes, though it stores 32 block entries per state;
+        # so 12 runs fill the 1 MiB stack, and 30 points take stacks of 12,
+        # 12 and 6.
         # Every row equals the point's own run exactly.
         sizes = []
         step = dynamics_module.collision_step
@@ -399,6 +417,24 @@ class TestSweep:
         assert [(r.value, r.top, r.error) for r in rows] == [
             (r.value, r.top, None) for r in want
         ]
+
+    def test_a_failing_table_fails_only_its_row(self, monkeypatch):
+        # The stack steps cleanly and one point's table fails: the stack is
+        # rerun point by point, and every other row equals its run alone.
+        values = [4.0, 5.0, 6.0]
+        alone = [sweep(small_config(), "omega", [value])[0] for value in values]
+        pair_concurrences = runner_module.pair_concurrences
+
+        def flaky(trajectory, pairs):
+            if trajectory.config.spec.omega == 5.0:
+                raise NumericalError("concurrence of a bad state")
+            return pair_concurrences(trajectory, pairs)
+
+        monkeypatch.setattr(runner_module, "pair_concurrences", flaky)
+        rows = sweep(small_config(), "omega", values)
+        assert isinstance(rows[1].error, NumericalError) and rows[1].top == {}
+        for k in (0, 2):
+            assert (rows[k].value, rows[k].top, rows[k].error) == (values[k], alone[k].top, None)
 
     def test_non_finite_propagator_fails_its_row(self, monkeypatch):
         rows = sweep(preset("fig2_cm"), "dt", [0.2, 1e308])
@@ -481,6 +517,20 @@ class TestOutputs:
         # Row n is the state after the n-th collision, at time n * dt.
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
         assert [line.split(",")[1] for line in lines[1:]] == [f"{n * 0.4:.12g}" for n in range(5)]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(tracked_pairs=[]), dict(topology=[[0]], target="A")],
+        ids=["no-tracked-pairs", "one-qubit-network"],
+    )
+    def test_csv_without_pairs(self, tmp_path, overrides):
+        result = run_experiment(small_config(steps=4, **overrides))
+        path = tmp_path / "out.csv"
+        emit_csv(result, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "step,time,ancilla_purity"
+        assert len(lines) == 6
+        assert all(len(line.split(",")) == 3 for line in lines)
 
     def test_csv_values_match_table(self, tmp_path):
         result = run_experiment(small_config(steps=4))
