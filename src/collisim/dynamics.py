@@ -41,11 +41,11 @@ shape run as one batched product.
 
 The step takes stacks and treats each state as it would alone:
 run_protocols steps P runs of one size through one set of propagator
-blocks, built once, and run_protocol is its case P = 1. Each Trajectory
-keeps its run's (steps + 1, N) sector blocks, which pair reductions read
-directly, and its (steps + 1, 2, 2) ancillas; dense network states are
-built only on request. MAX_RUN_BYTES bounds a run, MAX_STACK_BYTES a
-sweep's stack.
+blocks, built as one stack, and run_protocol is its case P = 1. Each
+Trajectory keeps its run's (steps + 1, N) sector blocks, which
+pair_states reduces directly, for one run or a stack, and its
+(steps + 1, 2, 2) ancillas; dense network states are built only on
+request. MAX_RUN_BYTES bounds a run, MAX_STACK_BYTES a sweep's stack.
 """
 
 from __future__ import annotations
@@ -91,11 +91,12 @@ _ANCILLA_DIAGONAL = np.array([0, 3])
 # a trajectory keeps only its sector blocks.
 MAX_RUN_BYTES = 2 * 2**30
 
-# Largest stack of network trajectories, counted dense as above, that sweep
-# steps together, about a dozen n = 3 runs. Larger stacks trade memory for
-# speed: a 202-point fig2_cm sweep took 214-278 ms with 4 MiB against 318-355
-# ms with 1 MiB (2 vCPUs).
-MAX_STACK_BYTES = 2**20
+# Largest stack of runs that sweep steps together, counted by what each run
+# keeps: its sector blocks and its ancilla at every step, 16 B an entry.
+# That is sixteen 81-step fig2_cm runs, whose 32 block entries a state are
+# half its 64 dense ones. Larger stacks share more per-stack work: 1 MiB
+# stepped a fig2_cm sweep about 11% faster (2 vCPUs), with a higher peak.
+MAX_STACK_BYTES = 3 * 2**18
 
 
 def check_run_size(num_qubits, steps):
@@ -119,9 +120,17 @@ def check_run_size(num_qubits, steps):
 
 
 def runs_per_stack(protocol):
-    """How many dense runs of this one's size fit in MAX_STACK_BYTES; at least one."""
-    per_run = (protocol.steps + 1) * 4**protocol.spec.topology.n * 16
-    return max(1, MAX_STACK_BYTES // per_run)
+    """How many runs like this one fit in MAX_STACK_BYTES; at least one.
+
+    A run keeps (steps + 1) rows of its N sector blocks and its 4 ancilla
+    entries, N in the partition the run steps in alone. A run whose
+    propagator fails to build is counted dense, N = 4**n.
+    """
+    try:
+        entries = len(_layout([protocol])[3].index)
+    except (ValueError, NumericalError):
+        entries = 4**protocol.spec.topology.n
+    return max(1, MAX_STACK_BYTES // ((protocol.steps + 1) * (entries + 4) * 16))
 
 
 class ProtocolMode(Enum):
@@ -194,18 +203,32 @@ class Trajectory:
     def pair_states(self, pairs):
         """Each pair's reduction at every step, (steps + 1, len(pairs), 4, 4).
 
-        One gather from the blocks per discarded basis state, added in
-        partial_trace's order; the terms it skips, outside the sectors, are
-        exact zeros, so the states equal partial_trace's bit for bit.
+        pair_states of this run alone.
         """
-        n = self.config.spec.topology.n
-        entries, columns = _pair_gather(self.partition.charge, n, tuple(map(tuple, pairs)))
-        kept = np.zeros((len(self), len(entries)), dtype=complex)
+        return pair_states([self], pairs)[0]
+
+
+def pair_states(trajectories, pairs):
+    """Each pair's reduction at every step of runs in one partition,
+    (P, steps + 1, len(pairs), 4, 4), as for the runs of one run_protocols call.
+
+    One gather from each run's blocks per discarded basis state, added in
+    partial_trace's order; the terms it skips, outside the sectors, are
+    exact zeros, so the states equal partial_trace's bit for bit.
+    """
+    first = trajectories[0]
+    n = first.config.spec.topology.n
+    entries, columns = _pair_gather(first.partition.charge, n, tuple(map(tuple, pairs)))
+    shape = (len(trajectories), len(first))
+    kept = np.zeros(shape + (len(entries),), dtype=complex)
+    for run, trajectory in zip(kept, trajectories):
+        if trajectory.partition is not first.partition:
+            raise ValueError("pair_states needs runs stepped in one partition")
         for t_columns in columns:
-            kept += np.take(self.blocks, t_columns, axis=1)
-        states = np.zeros((len(self), 16 * len(pairs)), dtype=complex)
-        states[:, entries] = kept
-        return states.reshape(len(self), len(pairs), 4, 4)
+            run += np.take(trajectory.blocks, t_columns, axis=1)
+    states = np.zeros(shape + (16 * len(pairs),), dtype=complex)
+    states[..., entries] = kept
+    return states.reshape(shape + (len(pairs), 4, 4))
 
 
 def _as_density(state, expected_qubits, what):
@@ -219,6 +242,16 @@ def _as_density(state, expected_qubits, what):
     if n != expected_qubits:
         raise ValueError(f"{what} has {n} qubits, expected {expected_qubits}")
     return rho
+
+
+def _densities(states, expected_qubits, what):
+    """The stacked density matrices of states; each distinct state object,
+    such as the initial state every point of a sweep shares, is checked once."""
+    done = {}
+    for state in states:
+        if id(state) not in done:
+            done[id(state)] = _as_density(state, expected_qubits, what)
+    return np.array([done[id(state)] for state in states])
 
 
 # Charges the register Hamiltonian may conserve, finest first: the
@@ -488,6 +521,9 @@ def _positions(pos, cls):
     return None if list(pos) == list(range(len(cls[1]))) else np.array(pos)
 
 
+# An infinite input makes NaN (inf times 0) inside the step, which
+# _cleanup then rejects: no numpy warning escapes first.
+@np.errstate(invalid="ignore", over="ignore")
 def collision_step(net, blocks, anc):
     """One collision as a channel on the network, linear in the incoming ancilla.
 
@@ -541,20 +577,12 @@ def collision_step(net, blocks, anc):
     return _cleanup(out, anc_out, partition)
 
 
-def run_protocols(configs):
-    """Step several runs together; returns one Trajectory per config.
+def _layout(configs):
+    """(initial ancillas, initial network states, propagators, partition) of a stack.
 
-    The configs must share the network size and the step count, as the
-    points of a sweep over omega or dt do; their couplings, dt, modes and
-    initial states may differ. Each step is one collision_step call on
-    the blocks of the stack's network states, in the finest charge
-    partition that every run keeps, with each run's incoming ancilla: its
-    initial state in collision mode, its previous step's ancilla in
-    repeated-interaction mode. For each run the initial states are
-    validated and the propagator is built, its unitarity verified, once;
-    the propagator blocks are laid out once for the stack, and the steps
-    trust all three. Each step writes its blocks and ancillas to their
-    slot of arrays allocated up front; slot 0 holds the initial states.
+    Validates the initial states and builds every run's propagator, its
+    unitarity verified, as one stack; the partition is the finest that
+    every run keeps.
     """
     steps, n_net = configs[0].steps, configs[0].spec.topology.n
     for config in configs:
@@ -564,18 +592,47 @@ def run_protocols(configs):
                 f"{config.steps} steps on {config.spec.topology.n} qubits "
                 f"beside {steps} on {n_net}"
             )
-    anc0 = np.array([_as_density(c.ancilla_init, 1, "ancilla state") for c in configs])
-    net0 = np.array([_as_density(c.network_init, n_net, "network state") for c in configs])
-    u = np.array([build_propagator(c.spec, c.dt) for c in configs])
-    partition = _choose_partition(u, net0, anc0)
+    anc0 = _densities([c.ancilla_init for c in configs], 1, "ancilla state")
+    net0 = _densities([c.network_init for c in configs], n_net, "network state")
+    u = build_propagator([c.spec for c in configs], [c.dt for c in configs])
+    return anc0, net0, u, _choose_partition(u, net0, anc0)
+
+
+def run_protocols(configs):
+    """Step several runs together; returns one Trajectory per config.
+
+    The configs must share the network size and the step count, as the
+    points of a sweep over omega or dt do; their couplings, dt, modes and
+    initial states may differ. The initial states are validated and the
+    propagators built as one stack, runs with equal settings sharing one,
+    and their blocks laid out once, in the finest charge partition that
+    every run keeps; the steps trust all three. Each step is one
+    collision_step call on the stack's network blocks, with each run's
+    incoming ancilla: its initial state in collision mode, its previous
+    step's ancilla in repeated-interaction mode. Each step writes its
+    blocks and ancillas to their slot of arrays allocated up front; slot
+    0 holds the initial states.
+    """
+    anc0, net0, u, partition = _layout(configs)
     blocks = propagator_blocks(u, partition)
+    # The steps read only the blocks: free U before the trajectory arrays.
+    del u
     net = partition.gather(net0)
+    steps = configs[0].steps
     network = np.empty((len(configs), steps + 1, net.shape[1]), dtype=complex)
     ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
     network[:, 0], ancilla[:, 0] = net, anc0
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
+    every, some = carry.all(), carry.any()
     for n in range(1, steps + 1):
-        net, ancilla[:, n] = collision_step(net, blocks, np.where(carry, ancilla[:, n - 1], anc0))
+        # A stack of one mode needs no per-step select.
+        if every:
+            incoming = ancilla[:, n - 1]
+        elif some:
+            incoming = np.where(carry, ancilla[:, n - 1], anc0)
+        else:
+            incoming = anc0
+        net, ancilla[:, n] = collision_step(net, blocks, incoming)
         network[:, n] = net
     return [Trajectory(c, partition, network[p], ancilla[p]) for p, c in enumerate(configs)]
 

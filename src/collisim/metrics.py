@@ -224,16 +224,53 @@ def find_peaks(series, min_height):
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 3:
         raise ValueError("peak finding needs a 1-d series of length >= 3")
-    # Starts of the runs of equal values after the first run; each run ends
-    # right before the next one starts. NaN equals nothing, so each NaN is
-    # a run of its own and never a peak.
-    starts = np.flatnonzero(arr[1:] != arr[:-1]) + 1
-    start, after = starts[:-1], starts[1:]
-    top = arr[start]
-    keep = (arr[start - 1] < top) & (arr[after] < top) & (top >= min_height)
-    index, value = start[keep], top[keep]
+    index = _peaks(arr)
+    value = arr[index]
+    keep = value >= min_height
+    index, value = index[keep], value[keep]
     order = np.lexsort((index, -value))
     return [(int(i), float(v)) for i, v in zip(index[order], value[order])]
+
+
+def top_peaks(series, min_height):
+    """The first peak find_peaks lists for each series of a (..., length) stack.
+
+    Returns (index, value) arrays of shape (...); index is -1 where a
+    series has no peak at or above min_height.
+    """
+    arr = np.asarray(series, dtype=float)
+    flat = arr.reshape(-1)
+    peak = _peaks(arr)
+    peak = peak[flat[peak] >= min_height]
+    score = np.full(flat.shape, -np.inf)
+    score[peak] = flat[peak]
+    # argmax takes the first of equal values, as find_peaks breaks ties.
+    index = score.reshape(arr.shape).argmax(axis=-1)
+    found = np.zeros(flat.size // arr.shape[-1], dtype=bool)
+    found[peak // arr.shape[-1]] = True
+    value = np.take_along_axis(arr, index[..., None], axis=-1)[..., 0]
+    return np.where(found.reshape(index.shape), index, -1), value
+
+
+def _peaks(arr):
+    """Flat indices of the peaks along the last axis of arr, at any height.
+
+    A peak is the start of a run of equal values that rises strictly
+    above the value before it and above the run after it. Each series
+    starts a run, so runs never span two series, and a series' first
+    and last runs, with no neighbour on one side, never qualify. NaN
+    equals nothing, so each NaN is a run of its own and never a peak.
+    """
+    length = arr.shape[-1]
+    flat = arr.reshape(-1)
+    begins = np.empty(flat.shape, dtype=bool)
+    begins[1:] = flat[1:] != flat[:-1]
+    begins[::length] = True
+    starts = np.flatnonzero(begins)
+    start, after = starts[:-1], starts[1:]
+    top = flat[start]
+    inner = (start % length != 0) & (after % length != 0)
+    return start[inner & (flat[start - 1] < top) & (flat[after] < top)]
 
 
 def characterize_peak(rho_pair):

@@ -146,49 +146,122 @@ def build_interaction_hamiltonian(spec):
 def build_propagator(spec, dt):
     """One-step unitary U = exp(-i (H_system + H_interaction) dt).
 
-    Acts on the full register: ancilla in slot 0, network in slots
-    1..n. H is exponentiated over the blocks it couples, the connected
-    components of its nonzero entries, so U is exactly 0 between them and
-    so between the values of any charge H conserves. Each block is
-    checked to be unitary within ATOL_UNITARY.
+    spec is one NetworkSpec and dt one step duration, for which U is
+    (2d, 2d), or equal-length sequences of them with one network size,
+    for which U is the (P, 2d, 2d) stack of each run's U. U acts on the
+    full register: ancilla in slot 0, network in slots 1..n. H is
+    exponentiated over the blocks it couples, the connected components of
+    its nonzero entries, so U is exactly 0 between them and so between
+    the values of any charge H conserves. Each block is checked to be
+    unitary within ATOL_UNITARY.
+
+    A stack is built as one: H_system once per distinct network, H's
+    blocks once per distinct nonzero pattern, one eigh per block size,
+    and one U for runs with equal settings. Each run's U equals its own
+    build bit for bit.
     """
-    if dt <= 0:
-        raise ValueError(f"step duration must be positive, got {dt}")
-    d = 2**spec.topology.n
-    h = np.zeros((2 * d, 2 * d), dtype=complex)
+    single = isinstance(spec, NetworkSpec)
+    specs, dts = ([spec], [dt]) if single else (list(spec), list(dt))
+    if len(specs) != len(dts) or not specs:
+        raise ValueError(f"{len(specs)} network specs for {len(dts)} step durations")
+    for step in dts:
+        if step <= 0:
+            raise ValueError(f"step duration must be positive, got {step}")
+    n = specs[0].topology.n
+    if any(s.topology.n != n for s in specs):
+        raise ValueError("stacked propagators must share the network size")
+    # Runs with equal settings share one U: run p takes the which[p]-th
+    # distinct run's, and first[k] is where the k-th distinct run stands.
+    keys = [
+        (s.topology.adjacency.tobytes(), s.system_coupling.value, s.omega0)
+        + (s.ancilla_coupling.value, s.target, s.omega, step)
+        for s, step in zip(specs, dts)
+    ]
+    distinct = {}
+    which = np.array([distinct.setdefault(key, len(distinct)) for key in keys])
+    first = [keys.index(key) for key in distinct]
+    specs, dts = [specs[k] for k in first], np.array([dts[k] for k in first])
+    keys = list(distinct)
+    d = 2**n
+    h = np.zeros((len(specs), 2 * d, 2 * d), dtype=complex)
+    omega = np.array([s.omega for s in specs])
     # Coupling strengths near the float limit overflow H to non-finite
     # entries; that is a numerical error, not an invalid matrix.
     with np.errstate(over="ignore", invalid="ignore"):
-        h[:d, :d] = h[d:, d:] = build_system_hamiltonian(spec)
-        h += build_interaction_hamiltonian(spec)
-    if not np.isfinite(h).all():
+        for runs, k in _shared(keys, lambda key: key[:3]):
+            h[runs, :d, :d] = h[runs, d:, d:] = build_system_hamiltonian(specs[k])
+        for runs, k in _shared(keys, lambda key: key[3:5]):
+            h[runs] += omega[runs, None, None] * pair_term(
+                specs[k].ancilla_coupling, 0, specs[k].target + 1, n + 1
+            )
+    finite = np.isfinite(h).all(axis=(1, 2))
+    if not finite.all():
+        s = specs[int(np.argmin(finite))]
         raise NumericalError(
-            f"register Hamiltonian overflows with omega0={spec.omega0:g} and "
-            f"omega={spec.omega:g}; use smaller coupling strengths"
+            f"register Hamiltonian overflows with omega0={s.omega0:g} and "
+            f"omega={s.omega:g}; use smaller coupling strengths"
         )
-    # Label each state by the lowest state of its component: take the lowest
-    # label among its neighbours, jump to that label's label, until none moves.
-    linked, neighbour = np.nonzero(h)
-    label, lower = None, np.arange(2 * d)
-    while not np.array_equal(lower, label):
-        label = lower.copy()
-        np.minimum.at(lower, linked, label[neighbour])
-        lower = lower[lower]
-    sizes = np.bincount(label)
+    # Every block of one size, over all patterns and runs, as one stack:
+    # (runs, index) per pattern, index (k, b) listing each block's states.
+    by_size = {}
+    pattern = h != 0
+    for runs, p in _shared([p.tobytes() for p in pattern], lambda key: key):
+        for index in _blocks(pattern[p]):
+            by_size.setdefault(index.shape[1], []).append((runs, index))
     u = np.zeros_like(h)
     defect = 0.0
     # A huge dt overflows to non-finite entries, which the check below rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Blocks of one size are exponentiated as one stack. U is 0 between
-        # blocks, so checking each block checks U; np.maximum keeps a NaN.
-        for size in set(sizes[sizes > 0].tolist()):
-            members = np.flatnonzero(sizes == size)
-            index = np.stack([np.flatnonzero(label == b) for b in members])
-            rows, cols = index[:, :, None], index[:, None, :]
-            u[rows, cols] = block = expm_hermitian(h[rows, cols], -1j * dt)
-            gram = block @ block.conj().swapaxes(-1, -2)
+        for size, members in by_size.items():
+            at = [
+                (runs[:, None, None, None], index[:, :, None], index[:, None, :])
+                for runs, index in members
+            ]
+            scale = np.concatenate([np.repeat(dts[runs], len(index)) for runs, index in members])
+            blocks = expm_hermitian(
+                np.concatenate([h[i].reshape(-1, size, size) for i in at]), -1j * scale[:, None]
+            )
+            # U is 0 between blocks, so checking each block checks U;
+            # np.maximum keeps a NaN.
+            gram = blocks @ blocks.conj().swapaxes(-1, -2)
             defect = np.maximum(defect, np.abs(gram - np.eye(size)).max())
+            start = 0
+            for i, (runs, index) in zip(at, members):
+                stop = start + len(runs) * len(index)
+                u[i] = blocks[start:stop].reshape(len(runs), len(index), size, size)
+                start = stop
     # Written so that a NaN defect fails too: every comparison with NaN is False.
     if not defect <= ATOL_UNITARY:
         raise NumericalError(f"propagator unitarity defect {defect}")
-    return u
+    return u[0] if single else u[which]
+
+
+def _shared(keys, part):
+    """(positions, first position) of each distinct part(key) among keys, positions an array."""
+    groups = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(part(key), []).append(position)
+    return [(np.array(positions), positions[0]) for positions in groups.values()]
+
+
+def _blocks(pattern):
+    """The connected components of a nonzero pattern, one (k, b) array of
+    state indices per component size b, each component's states ascending.
+
+    Each state is labelled by the lowest state of its component: take the
+    lowest label among its neighbours, jump to that label's label, until
+    none moves. Components of one size are listed by their lowest state.
+    """
+    linked, neighbour = np.nonzero(pattern)
+    label, lower = None, np.arange(len(pattern))
+    while not np.array_equal(lower, label):
+        label = lower.copy()
+        np.minimum.at(lower, linked, label[neighbour])
+        lower = lower[lower]
+    size = np.bincount(label)[label]
+    out = []
+    for b in dict.fromkeys(size.tolist()):
+        states = np.flatnonzero(size == b)
+        # A stable sort by label keeps each component's states ascending.
+        out.append(states[np.argsort(label[states], kind="stable")].reshape(-1, b))
+    return out

@@ -199,10 +199,10 @@ class TestSweepCommand:
         # the stack is rerun point by point and only that row fails.
         build_propagator = dynamics_module.build_propagator
 
-        def flaky(spec, dt):
-            if spec.omega == 7.0:
+        def flaky(specs, dts):
+            if any(spec.omega == 7.0 for spec in specs):
                 raise NumericalError("step correction over budget")
-            return build_propagator(spec, dt)
+            return build_propagator(specs, dts)
 
         monkeypatch.setattr(dynamics_module, "build_propagator", flaky)
         code = main(["sweep", "fig5", "--param", "omega", "--values", "5,7,-1"])

@@ -25,6 +25,7 @@ from collisim.metrics import (
     pair_concurrences,
     purity,
     reduced_pair,
+    top_peaks,
 )
 from collisim.network import CouplingKind, NetworkSpec, Topology, preset_topology
 from collisim.runner import build_protocol, config_from_dict, preset
@@ -659,6 +660,25 @@ class TestFindPeaks:
         # repr tells -0.0 from 0.0 and int from numpy integer types.
         assert repr(got) == repr(want)
         assert all(type(i) is int and type(v) is float for i, v in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        table=st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, np.nan]), min_size=6, max_size=6),
+            min_size=1,
+            max_size=6,
+        ),
+        min_height=st.sampled_from([0.0, 0.5, np.nan]),
+    )
+    def test_top_peaks_take_each_series_first_peak(self, table, min_height):
+        # Ties and plateaus are likely among so few values, and NaN is never a peak.
+        index, value = top_peaks(np.array(table), min_height)
+        for row, series in enumerate(table):
+            found = find_peaks(series, min_height)
+            if found:
+                assert (int(index[row]), float(value[row])) == found[0]
+            else:
+                assert index[row] == -1
 
 
 class TestCharacterizePeak:

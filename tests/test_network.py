@@ -395,6 +395,30 @@ class TestPropagatorBlocks:
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+class TestStackedPropagators:
+    """build_propagator over a stack equals each run's own build."""
+
+    def test_each_run_equals_its_own_build(self):
+        # Equal runs share one U, an omega of 0 has finer blocks than the
+        # others, and the step durations differ.
+        runs = [(5.0, 0.4), (12.0, 0.2), (5.0, 0.4), (0.0, 0.3), (20.0, 0.05)]
+        specs = [chain_spec(omega=omega) for omega, _ in runs]
+        dts = [dt for _, dt in runs]
+        got = build_propagator(specs, dts)
+        assert got.shape == (5, 16, 16)
+        for k, (spec, dt) in enumerate(zip(specs, dts)):
+            assert got[k].tobytes() == build_propagator(spec, dt).tobytes()
+
+    def test_rejects_mismatched_stacks(self):
+        spec = chain_spec()
+        with pytest.raises(ValueError, match="2 network specs for 1 step durations"):
+            build_propagator([spec, spec], [0.4])
+        with pytest.raises(ValueError, match="step duration must be positive"):
+            build_propagator([spec, spec], [0.4, -0.1])
+        with pytest.raises(ValueError, match="share the network size"):
+            build_propagator([spec, chain_spec(topology=ISOLATED_D)], [0.4, 0.4])
+
+
 class TestNetworkSpecValidation:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):

@@ -377,10 +377,9 @@ class TestSweep:
         assert rows[2].error is None and rows[2].top
 
     def test_points_are_stepped_in_stacks(self, monkeypatch):
-        # runs_per_stack counts a fig2_cm run as 81 dense states of 64
-        # entries, 82944 bytes, though it stores 32 block entries per state;
-        # so 12 runs fill the 1 MiB stack, and 30 points take stacks of 12,
-        # 12 and 6.
+        # runs_per_stack counts a fig2_cm run by what it keeps: 81 states
+        # of 32 block entries and a 4-entry ancilla, 46656 bytes; so 16 runs
+        # fill the 768 KiB stack, and 30 points take stacks of 16 and 14.
         # Every row equals the point's own run exactly.
         sizes = []
         step = dynamics_module.collision_step
@@ -393,12 +392,38 @@ class TestSweep:
         base = preset("fig2_cm")
         values = [4.0 + k / 4 for k in range(30)]
         rows = sweep(base, "omega", values)
-        assert sizes == [12] * 160 + [6] * 80
+        assert sizes == [16] * 80 + [14] * 80
         for value, row in zip(values, rows):
             alone = run_experiment(dataclasses.replace(base, omega=value))
             for col, pair in enumerate(alone.pairs):
                 found = find_peaks(alone.table[:, col], 0.0)
                 assert row.top[pair_label(pair)] == (found[0] if found else None)
+
+    @pytest.mark.parametrize(
+        "param, values",
+        [
+            ("dt", [0.05 + 0.01 * k for k in range(28)] + [-0.1, 0.0]),
+            ("omega", [4.0 + k / 2 for k in range(28)] + [float("nan"), -3.0]),
+        ],
+    )
+    def test_stacked_rows_equal_each_point_run_alone(self, param, values):
+        # 28 valid points span two stacks; the bad ones sit between them.
+        values = values[:20] + values[28:] + values[20:28]
+        base = preset("fig2_cm")
+        rows = sweep(base, param, values)
+        assert [row.value for row in rows] == values
+        for value, row in zip(values, rows):
+            try:
+                alone = run_experiment(dataclasses.replace(base, **{param: value}))
+            except ValueError as exc:
+                assert (type(row.error), str(row.error), row.top) == (type(exc), str(exc), {})
+                continue
+            assert row.error is None
+            want = {}
+            for col, pair in enumerate(alone.pairs):
+                found = find_peaks(alone.table[:, col], 0.0)
+                want[pair_label(pair)] = found[0] if found else None
+            assert row.top == want
 
     def test_a_failing_stack_is_rerun_point_by_point(self, monkeypatch):
         # A fault that only a stack meets costs no row: each point, rerun
@@ -423,14 +448,14 @@ class TestSweep:
         # rerun point by point, and every other row equals its run alone.
         values = [4.0, 5.0, 6.0]
         alone = [sweep(small_config(), "omega", [value])[0] for value in values]
-        pair_concurrences = runner_module.pair_concurrences
+        pair_states = runner_module.pair_states
 
-        def flaky(trajectory, pairs):
-            if trajectory.config.spec.omega == 5.0:
+        def flaky(trajectories, pairs):
+            if any(trajectory.config.spec.omega == 5.0 for trajectory in trajectories):
                 raise NumericalError("concurrence of a bad state")
-            return pair_concurrences(trajectory, pairs)
+            return pair_states(trajectories, pairs)
 
-        monkeypatch.setattr(runner_module, "pair_concurrences", flaky)
+        monkeypatch.setattr(runner_module, "pair_states", flaky)
         rows = sweep(small_config(), "omega", values)
         assert isinstance(rows[1].error, NumericalError) and rows[1].top == {}
         for k in (0, 2):
@@ -441,18 +466,19 @@ class TestSweep:
         assert rows[0].error is None and rows[0].top
         assert isinstance(rows[1].error, NumericalError)
         assert "propagator unitarity defect nan" in str(rows[1].error)
-        # A stack of one point that fails is not run a second time.
+        # A stack of one point that fails is not run a second time. The
+        # first build is runs_per_stack's, of the base at dt = 1.
         builds = []
         build_propagator = dynamics_module.build_propagator
 
-        def counted(spec, dt):
-            builds.append(dt)
-            return build_propagator(spec, dt)
+        def counted(specs, dts):
+            builds.append(dts)
+            return build_propagator(specs, dts)
 
         monkeypatch.setattr(dynamics_module, "build_propagator", counted)
         rows = sweep(preset("fig2_cm"), "dt", [1e308])
         assert isinstance(rows[0].error, NumericalError)
-        assert builds == [1e308]
+        assert builds == [[1.0], [1e308]]
 
     def test_points_are_not_peak_characterized(self, monkeypatch):
         # A row needs only each pair's top peak from the concurrence table.
@@ -473,13 +499,13 @@ class TestSweep:
         # A row's error holds no traceback, so no frame of sweep, and with
         # it no trajectory, outlives the call even without the cyclic GC.
         refs = []
-        pair_concurrences = runner_module.pair_concurrences
+        pair_states = runner_module.pair_states
 
-        def tracked(trajectory, pairs):
-            refs.append(weakref.ref(trajectory))
-            return pair_concurrences(trajectory, pairs)
+        def tracked(trajectories, pairs):
+            refs.extend(weakref.ref(trajectory) for trajectory in trajectories)
+            return pair_states(trajectories, pairs)
 
-        monkeypatch.setattr(runner_module, "pair_concurrences", tracked)
+        monkeypatch.setattr(runner_module, "pair_states", tracked)
         gc.disable()
         try:
             rows = sweep(preset("fig2_cm"), "omega", [5.0, -1.0])
@@ -544,6 +570,24 @@ class TestOutputs:
             assert abs(float(cells[1]) - row * 0.4) < 1e-12
             for col in range(3):
                 assert abs(float(cells[2 + col]) - result.table[row, col]) < 1e-11
+
+    def test_csv_bytes_for_awkward_floats(self, tmp_path):
+        # Values that print long or in exponent form, and a zero; dt = 0.1
+        # makes 3 * dt = 0.30000000000000004.
+        result = run_experiment(small_config(steps=3, dt=0.1))
+        result.table = np.array(
+            [[1 / 3, 0.1 + 0.2, 1e-13], [0.0, 1 / 3, 0.1 + 0.2], [1e-13, 0.0, 1.0], [2 / 3, 1e-13, 0.0]]
+        )
+        result.trajectory.ancilla = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])] * 2, dtype=complex)
+        path = tmp_path / "out.csv"
+        emit_csv(result, path)
+        assert path.read_bytes() == (
+            b"step,time,C_AB,C_AC,C_BC,ancilla_purity\n"
+            b"0,0,0.333333333333,0.3,1e-13,0.5\n"
+            b"1,0.1,0,0.333333333333,0.3,1\n"
+            b"2,0.2,1e-13,0,1,0.5\n"
+            b"3,0.3,0.666666666667,1e-13,0,1\n"
+        )
 
     def test_csv_is_reproducible_byte_for_byte(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -4,6 +4,8 @@ import ast
 import importlib
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import collisim
@@ -109,3 +111,10 @@ def test_demo_and_readme_imports_resolve():
     # The demos and the README import 19 distinct names today; fewer means
     # the scan missed a file or a code block.
     assert len(resolved) >= 19
+
+
+def test_import_leaves_yaml_unloaded():
+    # Only load_config reads YAML, so importing the package does not load it.
+    code = "import sys, collisim, collisim.runner; assert 'yaml' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
