@@ -9,19 +9,20 @@ one step the completely positive, trace-preserving map
 
 which is linear in the incoming ancilla state eta and is applied without
 ever forming the joint register. U_ja = <j|U|a> are the network-sized
-blocks of U (ancilla in slot 0). The step takes X_ja = U_ja rho for the
-fixed blocks, mixes them by eta's entries, Y_jb = eta_0b X_j0 + eta_1b X_j1,
-and closes the sandwich as rho' = sum_{j,b} Y_jb U_jb^dagger. The post-step
-ancilla comes from the same products, anc'_jk = sum_b tr(Y_jb U_kb^dagger).
-Both marginals are then hermitized and renormalized, and a step that needs
-more than MAX_STEP_CORRECTION of repair aborts the run.
+blocks of U (ancilla in slot 0). mix_blocks folds eta into them, V_jb =
+eta_0b U_j0 + eta_1b U_j1, and the step takes Y_jb = V_jb rho in one
+product and closes the sandwich as rho' = sum_{j,b} Y_jb U_jb^dagger. The
+post-step ancilla comes from the same products, anc'_jk = sum_b tr(Y_jb
+U_kb^dagger). Both marginals are then hermitized and renormalized, and a
+step that needs more than MAX_STEP_CORRECTION of repair aborts the run.
 
-The two protocol modes differ only in which eta is fed to the next step:
-Collision resets the ancilla to its initial state, while
-RepeatedInteraction carries the post-step ancilla marginal forward. The
-run loop makes that choice and checks its inputs once, at entry; U's
-unitarity is verified by build_propagator, and collision_step itself
-checks nothing but its outputs.
+The two protocol modes differ only in which eta mixes the next step's
+blocks: Collision resets the ancilla to its initial state, so the blocks
+are mixed once per run, while RepeatedInteraction carries the post-step
+ancilla marginal forward and mixes them every step. The run loop makes
+that choice and checks its inputs once, at entry; U's unitarity is
+verified by build_propagator, and collision_step itself checks nothing
+but its outputs.
 
 The step works on a charge partition of the network basis. When the
 register Hamiltonian conserves a charge Q = q_anc + Q_net, each block U_ja
@@ -33,7 +34,7 @@ only this module knows them. A charge holds for a run when U is exactly
 0 between charges (build_propagator exponentiates H over the blocks it
 couples, so U is 0 wherever H is), the initial network state is exactly
 block-diagonal, and, for a charged ancilla, the ancilla state is exactly
-diagonal, so Y_ja = eta_aa X_ja and only the ancilla's diagonal is
+diagonal, so V_ja = eta_aa U_ja and only the ancilla's diagonal is
 filled; a carried charged ancilla then stays exactly diagonal. A run that
 keeps no charge, and a stack whose runs keep no charge in common, is
 stepped as one block: the same kernel with one sector. Sandwiches of one
@@ -521,36 +522,42 @@ def _positions(pos, cls):
     return None if list(pos) == list(range(len(cls[1]))) else np.array(pos)
 
 
-# An infinite input makes NaN (inf times 0) inside the step, which
-# _cleanup then rejects: no numpy warning escapes first.
+# An infinite input makes NaN (inf times 0) inside the mix or the step,
+# which _cleanup then rejects: no numpy warning escapes first.
 @np.errstate(invalid="ignore", over="ignore")
-def collision_step(net, blocks, anc):
+def mix_blocks(blocks, anc):
+    """Each group's V_jb = sum_a eta_ab U_ja, shaped as its u, for the
+    (partition, groups) blocks and (P, 2, 2) incoming ancillas eta; for a
+    charged ancilla, which is diagonal, V_ja = eta_aa U_ja. A fixed-order
+    elementwise sum, so a run rounds the same alone as in any stack."""
+    partition, groups = blocks
+    if partition.charge[1]:
+        weight = anc[:, [0, 1], [0, 1]].real
+        return [np.take(weight, g.ja[:, :, 1], axis=1)[..., None, None, None] * g.u for g in groups]
+    eta = anc[:, None, None, :, :, None, None]
+    return [eta[:, :, :, 0] * g.u[:, :, :, :1] + eta[:, :, :, 1] * g.u[:, :, :, 1:] for g in groups]
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def collision_step(net, blocks, mixed):
     """One collision as a channel on the network, linear in the incoming ancilla.
 
     net is the (P, N) array of a stack's sector blocks, blocks the
-    (partition, groups) pair from propagator_blocks, and anc the (P, 2, 2)
-    incoming ancilla states. Returns the post-step (network blocks,
-    ancilla) marginals, (P, N) and (P, 2, 2), each run cleaned up to exact
-    hermiticity and unit trace.
+    (partition, groups) pair from propagator_blocks, and mixed the blocks
+    mix_blocks mixed by the incoming ancillas. Returns the post-step
+    (network blocks, ancilla) marginals, (P, N) and (P, 2, 2), each run
+    cleaned up to exact hermiticity and unit trace.
     """
     partition, groups = blocks
     charged = partition.charge[1]
-    # A charged ancilla is diagonal, so each block's eta is its weight eta_aa.
-    eta = anc[:, [0, 1], [0, 1]].real if charged else anc[:, None, None]
     rho = [net[:, columns].reshape(shape) for columns, shape in partition.views]
     out = [None] * len(rho)
     anc_out = None
-    for g in groups:
-        p, s, j, a, b_t, b_s = g.u.shape
+    for g, v in zip(groups, mixed):
+        p, s, j, _, b_t, b_s = g.u.shape
         state = rho[g.s_class] if g.s_pos is None else np.take(rho[g.s_class], g.s_pos, axis=1)
-        # X_ja = U_ja rho for every block in one product, mixed by the
-        # ancilla into Y_jb = sum_a eta_ab X_ja. The mix is a fixed-order
-        # elementwise sum, so a run rounds the same alone as in any stack.
-        x = (g.u.reshape(p, s, -1, b_s) @ state).reshape(g.u.shape)
-        mix = np.take(eta, g.ja[:, :, 1], axis=1)[..., None, None] if charged else eta
-        y = mix[..., 0, :, None, None] * x[:, :, :, :1]
-        for i in range(1, a):
-            y += mix[..., i, :, None, None] * x[:, :, :, i : i + 1]
+        # Y_jb = V_jb rho for every block in one product.
+        y = v.reshape(p, s, -1, b_s) @ state
         # sum_jb Y_jb U_jb^dagger = hstack(Y) @ vstack(U^dagger).
         y_row = y.reshape(p, s, -1, b_t, b_s).swapaxes(-3, -2).reshape(p, s, b_t, -1)
         sandwich = y_row @ g.u_adj
@@ -604,14 +611,15 @@ def run_protocols(configs):
     The configs must share the network size and the step count, as the
     points of a sweep over omega or dt do; their couplings, dt, modes and
     initial states may differ. The initial states are validated and the
-    propagators built as one stack, runs with equal settings sharing one,
-    and their blocks laid out once, in the finest charge partition that
-    every run keeps; the steps trust all three. Each step is one
-    collision_step call on the stack's network blocks, with each run's
-    incoming ancilla: its initial state in collision mode, its previous
-    step's ancilla in repeated-interaction mode. Each step writes its
-    blocks and ancillas to their slot of arrays allocated up front; slot
-    0 holds the initial states.
+    propagators built as one stack, and their blocks laid out once, in
+    the finest charge partition that every run keeps; the steps trust all
+    three. Each step is one collision_step call on the stack's network
+    blocks, with the blocks mixed by each run's incoming ancilla: its
+    initial state in collision mode, its previous step's ancilla in
+    repeated-interaction mode. A stack in which no run carries is mixed
+    once, any other before every step. Each step writes its blocks and
+    ancillas to their slot of arrays allocated up front; slot 0 holds the
+    initial states.
     """
     anc0, net0, u, partition = _layout(configs)
     blocks = propagator_blocks(u, partition)
@@ -624,15 +632,15 @@ def run_protocols(configs):
     network[:, 0], ancilla[:, 0] = net, anc0
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
     every, some = carry.all(), carry.any()
+    mixed = mix_blocks(blocks, anc0)
     for n in range(1, steps + 1):
-        # A stack of one mode needs no per-step select.
+        # A reset ancilla keeps its mixed blocks; a carried one is mixed
+        # again, and a stack of one mode needs no per-step select.
         if every:
-            incoming = ancilla[:, n - 1]
+            mixed = mix_blocks(blocks, ancilla[:, n - 1])
         elif some:
-            incoming = np.where(carry, ancilla[:, n - 1], anc0)
-        else:
-            incoming = anc0
-        net, ancilla[:, n] = collision_step(net, blocks, incoming)
+            mixed = mix_blocks(blocks, np.where(carry, ancilla[:, n - 1], anc0))
+        net, ancilla[:, n] = collision_step(net, blocks, mixed)
         network[:, n] = net
     return [Trajectory(c, partition, network[p], ancilla[p]) for p, c in enumerate(configs)]
 

@@ -156,9 +156,8 @@ def build_propagator(spec, dt):
     unitary within ATOL_UNITARY.
 
     A stack is built as one: H_system once per distinct network, H's
-    blocks once per distinct nonzero pattern, one eigh per block size,
-    and one U for runs with equal settings. Each run's U equals its own
-    build bit for bit.
+    blocks once per distinct nonzero pattern, and one eigh per block
+    size. Each run's U equals its own build bit for bit.
     """
     single = isinstance(spec, NetworkSpec)
     specs, dts = ([spec], [dt]) if single else (list(spec), list(dt))
@@ -170,27 +169,18 @@ def build_propagator(spec, dt):
     n = specs[0].topology.n
     if any(s.topology.n != n for s in specs):
         raise ValueError("stacked propagators must share the network size")
-    # Runs with equal settings share one U: run p takes the which[p]-th
-    # distinct run's, and first[k] is where the k-th distinct run stands.
-    keys = [
-        (s.topology.adjacency.tobytes(), s.system_coupling.value, s.omega0)
-        + (s.ancilla_coupling.value, s.target, s.omega, step)
-        for s, step in zip(specs, dts)
-    ]
-    distinct = {}
-    which = np.array([distinct.setdefault(key, len(distinct)) for key in keys])
-    first = [keys.index(key) for key in distinct]
-    specs, dts = [specs[k] for k in first], np.array([dts[k] for k in first])
-    keys = list(distinct)
+    networks = [(s.topology.adjacency.tobytes(), s.system_coupling.value, s.omega0) for s in specs]
+    couplings = [(s.ancilla_coupling.value, s.target) for s in specs]
+    dts = np.array(dts)
     d = 2**n
     h = np.zeros((len(specs), 2 * d, 2 * d), dtype=complex)
     omega = np.array([s.omega for s in specs])
     # Coupling strengths near the float limit overflow H to non-finite
     # entries; that is a numerical error, not an invalid matrix.
     with np.errstate(over="ignore", invalid="ignore"):
-        for runs, k in _shared(keys, lambda key: key[:3]):
+        for runs, k in _shared(networks):
             h[runs, :d, :d] = h[runs, d:, d:] = build_system_hamiltonian(specs[k])
-        for runs, k in _shared(keys, lambda key: key[3:5]):
+        for runs, k in _shared(couplings):
             h[runs] += omega[runs, None, None] * pair_term(
                 specs[k].ancilla_coupling, 0, specs[k].target + 1, n + 1
             )
@@ -205,7 +195,7 @@ def build_propagator(spec, dt):
     # (runs, index) per pattern, index (k, b) listing each block's states.
     by_size = {}
     pattern = h != 0
-    for runs, p in _shared([p.tobytes() for p in pattern], lambda key: key):
+    for runs, p in _shared([p.tobytes() for p in pattern]):
         for index in _blocks(pattern[p]):
             by_size.setdefault(index.shape[1], []).append((runs, index))
     u = np.zeros_like(h)
@@ -233,14 +223,14 @@ def build_propagator(spec, dt):
     # Written so that a NaN defect fails too: every comparison with NaN is False.
     if not defect <= ATOL_UNITARY:
         raise NumericalError(f"propagator unitarity defect {defect}")
-    return u[0] if single else u[which]
+    return u[0] if single else u
 
 
-def _shared(keys, part):
-    """(positions, first position) of each distinct part(key) among keys, positions an array."""
+def _shared(keys):
+    """(positions, first position) of each distinct key among keys, positions an array."""
     groups = {}
     for position, key in enumerate(keys):
-        groups.setdefault(part(key), []).append(position)
+        groups.setdefault(key, []).append(position)
     return [(np.array(positions), positions[0]) for positions in groups.values()]
 
 

@@ -34,6 +34,10 @@ dense_run_protocols and dense_pair_states are the dense route trajectories
 took before they kept sector blocks: run_protocols' loop scattering every
 step's blocks into a zeroed (P, steps + 1, d, d) array, and one
 reduced_pair call per pair on those dense states.
+
+closed_network_states is the evolution no protocol mode takes: the joint
+register propagated without re-factorizing, as demo 06 runs it, read out
+as the network marginal after every step.
 """
 
 import numpy as np
@@ -46,6 +50,7 @@ from collisim.dynamics import (
     _register_charge,
     ProtocolMode,
     collision_step,
+    mix_blocks,
     propagator_blocks,
 )
 from collisim.linalg import (
@@ -137,8 +142,9 @@ def one_block_step(net, u, anc):
     alone = net.ndim == 2
     if alone:
         net, u, anc = net[None], np.asarray(u)[None], np.asarray(anc)[None]
+    blocks = one_block_blocks(u)
     flat, anc_out = collision_step(
-        net.reshape(len(net), -1), one_block_blocks(u), np.asarray(anc, dtype=complex)
+        net.reshape(len(net), -1), blocks, mix_blocks(blocks, np.asarray(anc, dtype=complex))
     )
     net_out = flat.reshape(net.shape)
     return (net_out[0], anc_out[0]) if alone else (net_out, anc_out)
@@ -210,6 +216,21 @@ def reference_trajectory(protocol, net0, anc0):
     return states
 
 
+def closed_network_states(protocol):
+    """(steps + 1, d, d) network marginals of the joint state U^n (anc0 x net0) U^dagger^n."""
+    n = protocol.spec.topology.n
+    u = build_propagator(protocol.spec, protocol.dt)
+    joint = np.kron(
+        _as_density(protocol.ancilla_init, 1, "ancilla state"),
+        _as_density(protocol.network_init, n, "network state"),
+    )
+    states = [partial_trace(joint, [0], n + 1)]
+    for _ in range(protocol.steps):
+        joint = u @ joint @ u.conj().T
+        states.append(partial_trace(joint, [0], n + 1))
+    return np.array(states)
+
+
 def first_fit_groups(partition):
     """propagator_blocks' groups as lists of (q, t, blocks) links, in its order."""
     links = {}
@@ -251,7 +272,8 @@ def dense_run_protocols(configs):
     net = partition.gather(net0)
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
     for n in range(1, steps + 1):
-        net, ancilla[:, n] = collision_step(net, blocks, np.where(carry, ancilla[:, n - 1], anc0))
+        mixed = mix_blocks(blocks, np.where(carry, ancilla[:, n - 1], anc0))
+        net, ancilla[:, n] = collision_step(net, blocks, mixed)
         network[:, n].reshape(len(configs), -1)[:, partition.index] = net
     return network, ancilla
 

@@ -26,7 +26,7 @@ from collisim.metrics import (
 )
 from collisim.network import build_propagator, pair_label
 from collisim.runner import PRESETS, build_protocol, preset, run_experiment
-from reference import one_block_step
+from reference import closed_network_states, one_block_step
 
 VALUE_TOL = 1e-3
 INDEX_TOL = 1
@@ -240,3 +240,31 @@ def test_criterion_9_chain_end_relabeling_swaps_the_pair_series():
     for here, there in (("AB", "BC"), ("BC", "AB"), ("AC", "AC")):
         delta = float(np.max(np.abs(column(at_a, here) - column(at_c, there))))
         assert delta <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name, n0, c0, f0", [("fig2", 41, 0.9663, 0.9831), ("fig3a", 57, 0.9989, 0.9994)]
+)
+def test_closed_evolution_gives_the_quoted_carried_peaks(name, n0, c0, f0):
+    # The README's account of the fig2 and fig3a xfails: their quoted peaks
+    # form when the joint state is never re-factorized.
+    protocol, _, _ = build_protocol(preset(name))
+    states = reduced_pair(closed_network_states(protocol), (1, 2), 3)
+    n, c = find_peaks(concurrence(states), 0.0)[0]
+    assert n == n0
+    assert abs(c - c0) <= VALUE_TOL
+    label, f = characterize_peak(states[n])
+    assert label == "PhiTilde-"
+    assert abs(f - f0) <= VALUE_TOL
+
+
+def test_reset_chain_gives_the_quoted_peak_at_omega_20():
+    # The README's account of the fig3b xfail: the quoted triple appears at
+    # omega = 20 with dt = 0.2, in the preset's own collision mode.
+    result = run_experiment(dataclasses.replace(preset("fig3b"), omega=20.0, dt=0.2))
+    n, c = top_peak(result, "BC")
+    assert n == 4
+    assert abs(c - 0.9815) <= VALUE_TOL
+    label, f = characterize_peak(state_at(result, "BC", n))
+    assert label == "PhiTilde-"
+    assert abs(f - 0.9908) <= VALUE_TOL

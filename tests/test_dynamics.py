@@ -23,6 +23,7 @@ from collisim.dynamics import (
     ProtocolConfig,
     ProtocolMode,
     collision_step,
+    mix_blocks,
     propagator_blocks,
     run_protocol,
     run_protocols,
@@ -313,7 +314,8 @@ class TestRunProtocol:
                 anc0 = traj.ancilla[:1]
                 for n in range(1, cfg.steps + 1):
                     anc_in = anc0 if mode is ProtocolMode.COLLISION else traj.ancilla[n - 1 : n]
-                    net, anc = collision_step(partition.gather(traj[n - 1 : n]), blocks, anc_in)
+                    mixed = mix_blocks(blocks, anc_in)
+                    net, anc = collision_step(partition.gather(traj[n - 1 : n]), blocks, mixed)
                     assert np.array_equal(net, partition.gather(traj[n : n + 1]))
                     assert np.array_equal(anc, traj.ancilla[n : n + 1])
 
@@ -488,7 +490,8 @@ def partition_step(nets, us, ancs, charge):
     """collision_step on (P, d, d) dense states in the partition by charge,
     with dense (P, d, d) network outputs."""
     partition = dynamics_module._partition(charge, num_qubits_of(nets.shape[-1]))
-    flat, anc = collision_step(partition.gather(nets), propagator_blocks(us, partition), ancs)
+    blocks = propagator_blocks(us, partition)
+    flat, anc = collision_step(partition.gather(nets), blocks, mix_blocks(blocks, ancs))
     return partition.dense(flat), anc
 
 
@@ -560,6 +563,33 @@ class TestStepMap:
             alone = partition_step(net[None], u[None], anc[None], charge)
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[p], want[0])
+
+
+class TestMixedBlocks:
+    """run_protocols mixes the propagator blocks only where the ancilla changes."""
+
+    @pytest.mark.parametrize(
+        "modes, calls",
+        [
+            # A reset ancilla is mixed once per call, however many runs.
+            (["COLLISION"], 1),
+            (["COLLISION", "COLLISION"], 1),
+            # A carried one is mixed before the loop and before every step.
+            (["REPEATED_INTERACTION"], 1 + 6),
+            (["COLLISION", "REPEATED_INTERACTION"], 1 + 6),
+        ],
+    )
+    def test_mixes_once_per_call_or_once_per_step(self, monkeypatch, modes, calls):
+        seen = []
+        mix = dynamics_module.mix_blocks
+
+        def counted(blocks, anc):
+            seen.append(len(anc))
+            return mix(blocks, anc)
+
+        monkeypatch.setattr(dynamics_module, "mix_blocks", counted)
+        run_protocols([make_config(mode=ProtocolMode[m], steps=6) for m in modes])
+        assert seen == [len(modes)] * calls
 
 
 class TestStackedRuns:

@@ -399,8 +399,8 @@ class TestStackedPropagators:
     """build_propagator over a stack equals each run's own build."""
 
     def test_each_run_equals_its_own_build(self):
-        # Equal runs share one U, an omega of 0 has finer blocks than the
-        # others, and the step durations differ.
+        # Equal runs go through one batched eigh, an omega of 0 has finer
+        # blocks than the others, and the step durations differ.
         runs = [(5.0, 0.4), (12.0, 0.2), (5.0, 0.4), (0.0, 0.3), (20.0, 0.05)]
         specs = [chain_spec(omega=omega) for omega, _ in runs]
         dts = [dt for _, dt in runs]
