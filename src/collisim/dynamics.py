@@ -631,14 +631,11 @@ def run_protocols(configs):
     ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
     network[:, 0], ancilla[:, 0] = net, anc0
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
-    every, some = carry.all(), carry.any()
+    some = carry.any()
     mixed = mix_blocks(blocks, anc0)
     for n in range(1, steps + 1):
-        # A reset ancilla keeps its mixed blocks; a carried one is mixed
-        # again, and a stack of one mode needs no per-step select.
-        if every:
-            mixed = mix_blocks(blocks, ancilla[:, n - 1])
-        elif some:
+        # A reset ancilla keeps its mixed blocks; a carried one is mixed again.
+        if some:
             mixed = mix_blocks(blocks, np.where(carry, ancilla[:, n - 1], anc0))
         net, ancilla[:, n] = collision_step(net, blocks, mixed)
         network[:, n] = net

@@ -155,9 +155,9 @@ def build_propagator(spec, dt):
     the values of any charge H conserves. Each block is checked to be
     unitary within ATOL_UNITARY.
 
-    A stack is built as one: H_system once per distinct network, H's
-    blocks once per distinct nonzero pattern, and one eigh per block
-    size. Each run's U equals its own build bit for bit.
+    A stack is built as one: H once per distinct run setting other than
+    omega and dt, and one eigh per block size of each distinct nonzero
+    pattern of H. Each run's U equals its own build bit for bit.
     """
     single = isinstance(spec, NetworkSpec)
     specs, dts = ([spec], [dt]) if single else (list(spec), list(dt))
@@ -169,57 +169,42 @@ def build_propagator(spec, dt):
     n = specs[0].topology.n
     if any(s.topology.n != n for s in specs):
         raise ValueError("stacked propagators must share the network size")
-    networks = [(s.topology.adjacency.tobytes(), s.system_coupling.value, s.omega0) for s in specs]
-    couplings = [(s.ancilla_coupling.value, s.target) for s in specs]
+    settings = [
+        (s.topology.adjacency.tobytes(), s.system_coupling, s.omega0, s.ancilla_coupling, s.target)
+        for s in specs
+    ]
     dts = np.array(dts)
+    omega = np.array([s.omega for s in specs])
     d = 2**n
     h = np.zeros((len(specs), 2 * d, 2 * d), dtype=complex)
-    omega = np.array([s.omega for s in specs])
-    # Coupling strengths near the float limit overflow H to non-finite
-    # entries; that is a numerical error, not an invalid matrix.
+    u = np.zeros_like(h)
+    defect = 0.0
+    # Coupling strengths near the float limit overflow H, and a huge dt U,
+    # to non-finite entries; that is a numerical error, not an invalid matrix.
     with np.errstate(over="ignore", invalid="ignore"):
-        for runs, k in _shared(networks):
+        for runs, k in _shared(settings):
             h[runs, :d, :d] = h[runs, d:, d:] = build_system_hamiltonian(specs[k])
-        for runs, k in _shared(couplings):
             h[runs] += omega[runs, None, None] * pair_term(
                 specs[k].ancilla_coupling, 0, specs[k].target + 1, n + 1
             )
-    finite = np.isfinite(h).all(axis=(1, 2))
-    if not finite.all():
-        s = specs[int(np.argmin(finite))]
-        raise NumericalError(
-            f"register Hamiltonian overflows with omega0={s.omega0:g} and "
-            f"omega={s.omega:g}; use smaller coupling strengths"
-        )
-    # Every block of one size, over all patterns and runs, as one stack:
-    # (runs, index) per pattern, index (k, b) listing each block's states.
-    by_size = {}
-    pattern = h != 0
-    for runs, p in _shared([p.tobytes() for p in pattern]):
-        for index in _blocks(pattern[p]):
-            by_size.setdefault(index.shape[1], []).append((runs, index))
-    u = np.zeros_like(h)
-    defect = 0.0
-    # A huge dt overflows to non-finite entries, which the check below rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for size, members in by_size.items():
-            at = [
-                (runs[:, None, None, None], index[:, :, None], index[:, None, :])
-                for runs, index in members
-            ]
-            scale = np.concatenate([np.repeat(dts[runs], len(index)) for runs, index in members])
-            blocks = expm_hermitian(
-                np.concatenate([h[i].reshape(-1, size, size) for i in at]), -1j * scale[:, None]
+        finite = np.isfinite(h).all(axis=(1, 2))
+        if not finite.all():
+            s = specs[int(np.argmin(finite))]
+            raise NumericalError(
+                f"register Hamiltonian overflows with omega0={s.omega0:g} and "
+                f"omega={s.omega:g}; use smaller coupling strengths"
             )
-            # U is 0 between blocks, so checking each block checks U;
-            # np.maximum keeps a NaN.
-            gram = blocks @ blocks.conj().swapaxes(-1, -2)
-            defect = np.maximum(defect, np.abs(gram - np.eye(size)).max())
-            start = 0
-            for i, (runs, index) in zip(at, members):
-                stop = start + len(runs) * len(index)
-                u[i] = blocks[start:stop].reshape(len(runs), len(index), size, size)
-                start = stop
+        pattern = h != 0
+        for runs, p in _shared([p.tobytes() for p in pattern]):
+            for index in _blocks(pattern[p]):
+                # The (runs, k, b, b) stack of each run's k blocks of b states.
+                at = (runs[:, None, None, None], index[:, :, None], index[:, None, :])
+                blocks = expm_hermitian(h[at], -1j * dts[runs, None, None])
+                # U is 0 between blocks, so checking each block checks U;
+                # np.maximum keeps a NaN.
+                gram = blocks @ blocks.conj().swapaxes(-1, -2)
+                defect = np.maximum(defect, np.abs(gram - np.eye(index.shape[1])).max())
+                u[at] = blocks
     # Written so that a NaN defect fails too: every comparison with NaN is False.
     if not defect <= ATOL_UNITARY:
         raise NumericalError(f"propagator unitarity defect {defect}")

@@ -573,9 +573,6 @@ def emit_report(result, path):
         fh.write("\n".join(lines) + "\n")
 
 
-_OTHER_MODE = {"collision": "repeated", "repeated": "collision"}
-
-
 def reproduce(name, out_dir="."):
     """Run a preset and write <name>.csv and <name>_peaks.txt to out_dir.
 
@@ -587,8 +584,8 @@ def reproduce(name, out_dir="."):
     protocol, pairs, min_height = build_protocol(cfg)
     protocols = [protocol]
     if name in DUAL_MODE_PRESETS:
-        flipped = dataclasses.replace(cfg, mode=_OTHER_MODE[str(cfg.mode).lower()])
-        protocols.append(build_protocol(flipped)[0])
+        (mode,) = set(ProtocolMode) - {protocol.mode}
+        protocols.append(dataclasses.replace(protocol, mode=mode))
     trajectory, *other = run_protocols(protocols)
     result = _analyze(cfg, trajectory, pairs, min_height)
     tables = [pair_concurrences(t, pairs)[1] for t in other]

@@ -565,6 +565,43 @@ class TestStepMap:
                 assert np.array_equal(got[p], want[0])
 
 
+class TestLongRuns:
+    """Trace, hermiticity and positivity hold over 10**4 steps in every partition."""
+
+    @pytest.mark.parametrize(
+        "system, ancilla, ancilla_init, network_init, charge",
+        [
+            ("Exchange", "ZZ", "+", "100", ("number", False)),
+            ("Exchange", "Exchange", "1", "100", ("number", True)),
+            ("XX", "ZZ", "+", "000", ("parity", False)),
+            ("XX", "XX", "1", "000", ("parity", True)),
+            ("Exchange", "XX", "+", "000", (None, False)),
+        ],
+    )
+    def test_states_stay_physical(self, system, ancilla, ancilla_init, network_init, charge):
+        # Both modes as one stack: the reset run and the carried one.
+        cfg = ExperimentConfig(
+            topology="linear3",
+            system_coupling=system,
+            ancilla_coupling=ancilla,
+            omega=5.0,
+            target="A",
+            mode="collision",
+            dt=0.4,
+            steps=10**4,
+            ancilla_init=ancilla_init,
+            network_init=network_init,
+        )
+        protocol = build_protocol(cfg)[0]
+        modes = [dataclasses.replace(protocol, mode=mode) for mode in ProtocolMode]
+        for traj in run_protocols(modes):
+            assert traj.partition.charge == charge
+            for states in (traj.network, traj.ancilla):
+                assert np.array_equal(states, states.conj().swapaxes(-1, -2))
+                assert np.max(np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)) <= 1e-12
+                assert np.linalg.eigvalsh(states).min() >= -PSD_SLACK
+
+
 class TestMixedBlocks:
     """run_protocols mixes the propagator blocks only where the ancilla changes."""
 

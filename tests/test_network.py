@@ -17,6 +17,7 @@ from collisim.linalg import (
     embed_single,
     expm_hermitian,
 )
+from collisim import network as network_module
 from collisim.network import (
     CouplingKind,
     NetworkSpec,
@@ -408,6 +409,27 @@ class TestStackedPropagators:
         assert got.shape == (5, 16, 16)
         for k, (spec, dt) in enumerate(zip(specs, dts)):
             assert got[k].tobytes() == build_propagator(spec, dt).tobytes()
+
+    def test_one_eigh_call_per_pattern_and_block_size(self, monkeypatch):
+        # fig2_cm's H splits into blocks of one size at every omega, and an
+        # omega of 0 drops the ancilla's diagonal terms: a second pattern.
+        calls = []
+        monkeypatch.setattr(
+            network_module,
+            "expm_hermitian",
+            lambda h, scale: calls.append(h.shape) or expm_hermitian(h, scale),
+        )
+        base = preset("fig2_cm")
+        specs = [
+            build_protocol(dataclasses.replace(base, omega=4.0 + k))[0].spec for k in range(16)
+        ]
+        build_propagator(specs, [base.dt] * 16)
+        assert len(calls) == 1
+        calls.clear()
+        zero = build_protocol(dataclasses.replace(base, omega=0.0))[0].spec
+        got = build_propagator(specs + [zero], [base.dt] * 17)
+        assert len(calls) == 2
+        assert got[16].tobytes() == build_propagator(zero, base.dt).tobytes()
 
     def test_rejects_mismatched_stacks(self):
         spec = chain_spec()

@@ -403,12 +403,13 @@ class TestSweep:
         "param, values",
         [
             ("dt", [0.05 + 0.01 * k for k in range(28)] + [-0.1, 0.0]),
-            ("omega", [4.0 + k / 2 for k in range(28)] + [float("nan"), -3.0]),
+            # An omega of 0 gives its stack a second nonzero pattern of H.
+            ("omega", [0.0] + [4.0 + k / 2 for k in range(28)] + [float("nan"), -3.0]),
         ],
     )
     def test_stacked_rows_equal_each_point_run_alone(self, param, values):
-        # 28 valid points span two stacks; the bad ones sit between them.
-        values = values[:20] + values[28:] + values[20:28]
+        # The valid points span two stacks; the two bad ones sit between them.
+        values = values[:20] + values[-2:] + values[20:-2]
         base = preset("fig2_cm")
         rows = sweep(base, param, values)
         assert [row.value for row in rows] == values
@@ -643,6 +644,26 @@ class TestReproduce:
         sizes.clear()
         reproduce("fig2_cm", tmp_path)
         assert sizes == [1] * 80
+
+    def test_dual_mode_preset_is_resolved_once(self, tmp_path, monkeypatch):
+        # The other mode's run flips the resolved protocol; its files and
+        # mode delta are those of each mode resolved and run alone.
+        builds = []
+        build = runner_module.build_protocol
+        monkeypatch.setattr(
+            runner_module, "build_protocol", lambda cfg: builds.append(cfg) or build(cfg)
+        )
+        summary = reproduce("fig5", tmp_path / "once")
+        assert len(builds) == 1
+        monkeypatch.undo()
+        cfg = preset("fig5")
+        alone = run_experiment(cfg)
+        emit_csv(alone, tmp_path / "fig5.csv")
+        emit_report(alone, tmp_path / "fig5_peaks.txt")
+        for name in ("fig5.csv", "fig5_peaks.txt"):
+            assert (tmp_path / "once" / name).read_bytes() == (tmp_path / name).read_bytes()
+        other = run_experiment(dataclasses.replace(cfg, mode="collision"))
+        assert summary["mode_delta"] == float(np.max(np.abs(alone.table - other.table)))
 
     def test_single_mode_preset_has_no_delta(self, tmp_path):
         summary = reproduce("fig2_cm", tmp_path)
