@@ -23,7 +23,6 @@ from .network import (
     CouplingKind,
     NetworkSpec,
     Topology,
-    build_interaction_hamiltonian,
     build_propagator,
     build_system_hamiltonian,
     pair_label,

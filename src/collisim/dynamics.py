@@ -40,13 +40,14 @@ keeps no charge, and a stack whose runs keep no charge in common, is
 stepped as one block: the same kernel with one sector. Sandwiches of one
 shape run as one batched product.
 
-The step takes stacks and treats each state as it would alone:
-run_protocols steps P runs of one size through one set of propagator
-blocks, built as one stack, and run_protocol is its case P = 1. Each
-Trajectory keeps its run's (steps + 1, N) sector blocks, which
-pair_states reduces directly, for one run or a stack, and its
-(steps + 1, 2, 2) ancillas; dense network states are built only on
-request. MAX_RUN_BYTES bounds a run, MAX_STACK_BYTES a sweep's stack.
+A run's state is one row of N + 4 entries: the network's N sector-block
+entries, then its ancilla's 4. The step adds into views of a zeroed row,
+which the cleanup repairs in place. It takes stacks and treats each state
+as it would alone: run_protocols steps P runs of one size through one
+set of propagator blocks, and run_protocol is its case P = 1. Each
+Trajectory keeps its run's (steps + 1, N + 4) rows, which pair_states
+reduces directly; dense network states are built only on request.
+MAX_RUN_BYTES bounds a run, MAX_STACK_BYTES a sweep's stack.
 """
 
 from __future__ import annotations
@@ -175,19 +176,27 @@ class ProtocolConfig:
 class Trajectory:
     """The network and ancilla marginals after every collision.
 
-    blocks (steps + 1, N) holds the network states' sector blocks in the
-    run's partition, and ancilla (steps + 1, 2, 2) the ancilla states; row
-    n is after the n-th collision, at time n * dt. Indexing densifies only
+    rows (steps + 1, N + 4) holds one state a row: the network's sector
+    blocks in the run's partition, then the flattened ancilla. Row n is
+    after the n-th collision, at time n * dt. blocks (steps + 1, N) and
+    ancilla (steps + 1, 2, 2) are views of rows. Indexing densifies only
     the network states it selects: traj[n] is the (d, d) state of row n.
     """
 
     config: ProtocolConfig
     partition: _Partition
-    blocks: np.ndarray
-    ancilla: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def blocks(self):
+        return self.rows[:, : len(self.partition.index)]
+
+    @property
+    def ancilla(self):
+        return self.rows[:, len(self.partition.index) :].reshape(-1, 2, 2)
 
     def __len__(self):
-        return len(self.blocks)
+        return len(self.rows)
 
     def __getitem__(self, index):
         return self.partition.dense(self.blocks[index])
@@ -213,9 +222,10 @@ def pair_states(trajectories, pairs):
     """Each pair's reduction at every step of runs in one partition,
     (P, steps + 1, len(pairs), 4, 4), as for the runs of one run_protocols call.
 
-    One gather from each run's blocks per discarded basis state, added in
-    partial_trace's order; the terms it skips, outside the sectors, are
-    exact zeros, so the states equal partial_trace's bit for bit.
+    One gather per discarded basis state from each run's contiguous rows
+    (np.take would copy the strided blocks view whole for every gather),
+    added in partial_trace's order; the terms it skips, outside the
+    sectors, are exact zeros, so the states equal partial_trace's bit for bit.
     """
     first = trajectories[0]
     n = first.config.spec.topology.n
@@ -226,7 +236,7 @@ def pair_states(trajectories, pairs):
         if trajectory.partition is not first.partition:
             raise ValueError("pair_states needs runs stepped in one partition")
         for t_columns in columns:
-            run += np.take(trajectory.blocks, t_columns, axis=1)
+            run += np.take(trajectory.rows, t_columns, axis=1)
     states = np.zeros(shape + (16 * len(pairs),), dtype=complex)
     states[..., entries] = kept
     return states.reshape(shape + (len(pairs), 4, 4))
@@ -288,13 +298,13 @@ class _Partition(
     """A charge partition of the network basis and the layout of its blocks.
 
     sectors[q] holds the basis indices of charge q in ascending order.
-    Sectors of one size b form a class, stored as a (P, S, b, b) view of
-    the (P, N) array of a stack's blocks: classes lists (offset, charges,
-    b) for each, and views the (column slice, shape) of that view. index
-    places the array in the flattened dense states. For the array with
-    the flattened ancilla appended, (P, N + 4), transpose maps it to its
-    blocks' and the ancilla's transposes, and diagonal lists their
-    diagonal entries, network first.
+    A stack's states are (P, N + 4) rows: N block entries, then the
+    flattened ancilla. Sectors of one size b form a class, stored as a
+    (P, S, b, b) view of the rows: classes lists (offset, charges, b) for
+    each, and views the (column slice, shape) of that view. index places
+    the N block entries in the flattened dense states. transpose maps a
+    row to its blocks' and its ancilla's transposes, and diagonal lists
+    their diagonal entries, network first.
     """
 
     __slots__ = ()
@@ -392,33 +402,29 @@ def _choose_partition(u, net, anc):
             return _partition(charge, n)
 
 
-def _cleanup(blocks, anc, partition):
-    """Hermitize and renormalize each run's network blocks and ancilla.
+def _cleanup(rows, partition):
+    """Hermitize and renormalize each run's (N + 4) state row in place.
 
-    blocks holds the stack's network blocks, one (P, S, b, b) array per
-    class of the partition, and anc the (P, 2, 2) ancilla states; both
-    are cleaned in one pass over their flattened concatenation, (P, N + 4),
-    whose transposes and diagonal entries the partition indexes. Returns
-    the cleaned (P, N) network blocks and (P, 2, 2) ancillas. A stack
-    where a network or ancilla needs more than MAX_STEP_CORRECTION of
-    repair aborts, naming the first such run: a state's hermiticity defect
-    is half its largest |rho - rho^dagger| entry, its trace defect the
+    rows is a stack's (P, N + 4) rows, network blocks then ancilla, whose
+    transposes and diagonal entries the partition indexes. A stack where
+    a network or ancilla needs more than MAX_STEP_CORRECTION of repair
+    aborts, naming the first such run: a state's hermiticity defect is
+    half its largest |rho - rho^dagger| entry, its trace defect the
     distance of its trace from 1, and a non-finite entry, which makes a
     defect NaN or inf, is reported as such.
     """
-    p, n = len(anc), len(partition.transpose) - 4
-    both = np.concatenate([rho.reshape(p, -1) for rho in blocks] + [anc.reshape(p, 4)], axis=1)
-    adjoint = np.take(both, partition.transpose, axis=1).conj()
-    gap = np.abs(both - adjoint)
+    n = len(partition.index)
+    adjoint = np.take(rows, partition.transpose, axis=1).conj()
+    gap = np.abs(rows - adjoint)
     # Hermitizing keeps the real part of every diagonal entry exactly, so
     # these traces, network then ancilla, also renormalize the result.
-    diagonal = np.take(both, partition.diagonal, axis=1).real
+    diagonal = np.take(rows, partition.diagonal, axis=1).real
     traces = np.add.reduceat(diagonal, (0, diagonal.shape[1] - 2), axis=1)
     trace = np.abs(traces - 1.0)
     # Written so that a NaN defect fails too: every comparison with NaN is False.
     if not (gap.max() <= 2.0 * MAX_STEP_CORRECTION and trace.max() <= MAX_STEP_CORRECTION):
         # Each run's defects as (P, 2) columns, network then ancilla.
-        finite = np.logical_and.reduceat(np.isfinite(both), (0, n), axis=1)
+        finite = np.logical_and.reduceat(np.isfinite(rows), (0, n), axis=1)
         herm = np.maximum.reduceat(gap, (0, n), axis=1) / 2.0
         over = ~(np.maximum(herm, trace) <= MAX_STEP_CORRECTION)
         for k, what in enumerate(("network state", "ancilla state")):
@@ -431,9 +437,8 @@ def _cleanup(blocks, anc, partition):
                 raise NumericalError(
                     f"{what} needs correction beyond budget: hermiticity {h}, trace {t}{where}"
                 )
-    both += adjoint
-    both *= np.repeat(0.5 / traces, (n, 4), axis=1)
-    return both[:, :n], both[:, n:].reshape(p, 2, 2)
+    rows += adjoint
+    rows *= np.repeat(0.5 / traces, (n, 4), axis=1)
 
 
 class _Group(namedtuple("_Group", "s_class s_pos t_class t_pos u u_adj ja diagonal")):
@@ -510,9 +515,8 @@ def propagator_blocks(u, partition):
                     (ja[:, :, 0].ravel() == [[0], [1]]) if partition.charge[1] else None,
                 )
             )
-    # Groups that cover a whole class go first. Every class has one, so the
-    # step takes the first group's sandwiches into a class as its output and
-    # adds the rest to it.
+    # Groups that cover a whole class go first: the order in which the step
+    # adds the groups' sandwiches into a class fixes how they round.
     groups.sort(key=lambda g: g.t_pos is not None)
     return partition, groups
 
@@ -539,20 +543,24 @@ def mix_blocks(blocks, anc):
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def collision_step(net, blocks, mixed):
+def collision_step(rows, blocks, mixed):
     """One collision as a channel on the network, linear in the incoming ancilla.
 
-    net is the (P, N) array of a stack's sector blocks, blocks the
-    (partition, groups) pair from propagator_blocks, and mixed the blocks
-    mix_blocks mixed by the incoming ancillas. Returns the post-step
-    (network blocks, ancilla) marginals, (P, N) and (P, 2, 2), each run
-    cleaned up to exact hermiticity and unit trace.
+    rows holds a stack's (P, N + 4) state rows, or only their (P, N) sector
+    blocks; blocks is the (partition, groups) pair from propagator_blocks,
+    and mixed the blocks mix_blocks mixed by the incoming ancillas. Returns
+    new (P, N + 4) rows, zeroed and then added into by every group: its
+    sandwiches into its class's view, its ancilla read-out into the last 4
+    entries; each run is cleaned up to exact hermiticity and unit trace.
     """
     partition, groups = blocks
+    n = len(partition.index)
+    out = np.zeros((len(rows), n + 4), dtype=complex)
+    rho = [rows[:, columns].reshape(shape) for columns, shape in partition.views]
+    classes = [out[:, columns].reshape(shape) for columns, shape in partition.views]
     charged = partition.charge[1]
-    rho = [net[:, columns].reshape(shape) for columns, shape in partition.views]
-    out = [None] * len(rho)
-    anc_out = None
+    # A charged ancilla's read-out fills only its diagonal, entries 0 and 3.
+    anc = out[:, n::3] if charged else out[:, n:].reshape(-1, 2, 2)
     for g, v in zip(groups, mixed):
         p, s, j, _, b_t, b_s = g.u.shape
         state = rho[g.s_class] if g.s_pos is None else np.take(rho[g.s_class], g.s_pos, axis=1)
@@ -561,27 +569,22 @@ def collision_step(net, blocks, mixed):
         # sum_jb Y_jb U_jb^dagger = hstack(Y) @ vstack(U^dagger).
         y_row = y.reshape(p, s, -1, b_t, b_s).swapaxes(-3, -2).reshape(p, s, b_t, -1)
         sandwich = y_row @ g.u_adj
-        # The first group into a class covers it whole (see propagator_blocks).
-        if out[g.t_class] is None:
-            out[g.t_class] = sandwich
-        elif g.t_pos is None:
-            out[g.t_class] += sandwich
+        if g.t_pos is None:
+            classes[g.t_class] += sandwich
         else:
-            out[g.t_class][:, g.t_pos] += sandwich
+            classes[g.t_class][:, g.t_pos] += sandwich
         # anc'_jk = sum_b tr(Y_jb U_kb^dagger); vecdot conjugates its first
         # argument and sums in the order vdot does. Blocks with another a
         # never share a sector pair, so a charged ancilla gets only its
         # diagonal, and its off-diagonal entries stay exactly 0.
         if charged:
             part = np.vecdot(g.u.reshape(p, s * j, -1), y.reshape(p, s * j, -1))
-            part = np.vecdot(g.diagonal, part[:, None, :])
+            anc += np.vecdot(g.diagonal, part[:, None, :])
         else:
             part = np.vecdot(g.u.reshape(p, s, 1, j, -1), y.reshape(p, s, j, 1, -1))
-            part = part.sum(axis=1) if s > 1 else part[:, 0]
-        anc_out = part if anc_out is None else anc_out + part
-    if charged:
-        anc_out = anc_out[:, :, None] * np.eye(2)
-    return _cleanup(out, anc_out, partition)
+            anc += part.sum(axis=1) if s > 1 else part[:, 0]
+    _cleanup(out, partition)
+    return out
 
 
 def _layout(configs):
@@ -613,33 +616,30 @@ def run_protocols(configs):
     initial states may differ. The initial states are validated and the
     propagators built as one stack, and their blocks laid out once, in
     the finest charge partition that every run keeps; the steps trust all
-    three. Each step is one collision_step call on the stack's network
-    blocks, with the blocks mixed by each run's incoming ancilla: its
-    initial state in collision mode, its previous step's ancilla in
-    repeated-interaction mode. A stack in which no run carries is mixed
-    once, any other before every step. Each step writes its blocks and
-    ancillas to their slot of arrays allocated up front; slot 0 holds the
-    initial states.
+    three. Each step is one collision_step call on the stack's rows, with
+    the blocks mixed by each run's incoming ancilla: its initial state in
+    collision mode, its previous step's ancilla in repeated-interaction
+    mode. A stack in which no run carries is mixed once, any other before
+    every step. The rows of every run and step are one (P, steps + 1,
+    N + 4) array allocated up front; each step writes its slot, and slot
+    0 holds the initial states.
     """
     anc0, net0, u, partition = _layout(configs)
     blocks = propagator_blocks(u, partition)
-    # The steps read only the blocks: free U before the trajectory arrays.
+    # The steps read only the blocks: free U before the trajectory rows.
     del u
-    net = partition.gather(net0)
-    steps = configs[0].steps
-    network = np.empty((len(configs), steps + 1, net.shape[1]), dtype=complex)
-    ancilla = np.empty((len(configs), steps + 1, 2, 2), dtype=complex)
-    network[:, 0], ancilla[:, 0] = net, anc0
+    n, p, steps = len(partition.index), len(configs), configs[0].steps
+    rows = np.empty((p, steps + 1, n + 4), dtype=complex)
+    rows[:, 0, :n], rows[:, 0, n:] = partition.gather(net0), anc0.reshape(p, 4)
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
     some = carry.any()
     mixed = mix_blocks(blocks, anc0)
-    for n in range(1, steps + 1):
+    for k in range(1, steps + 1):
         # A reset ancilla keeps its mixed blocks; a carried one is mixed again.
         if some:
-            mixed = mix_blocks(blocks, np.where(carry, ancilla[:, n - 1], anc0))
-        net, ancilla[:, n] = collision_step(net, blocks, mixed)
-        network[:, n] = net
-    return [Trajectory(c, partition, network[p], ancilla[p]) for p, c in enumerate(configs)]
+            mixed = mix_blocks(blocks, np.where(carry, rows[:, k - 1, n:].reshape(p, 2, 2), anc0))
+        rows[:, k] = collision_step(rows[:, k - 1], blocks, mixed)
+    return [Trajectory(c, partition, rows[i]) for i, c in enumerate(configs)]
 
 
 def run_protocol(config):

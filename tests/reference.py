@@ -143,10 +143,10 @@ def one_block_step(net, u, anc):
     if alone:
         net, u, anc = net[None], np.asarray(u)[None], np.asarray(anc)[None]
     blocks = one_block_blocks(u)
-    flat, anc_out = collision_step(
+    rows = collision_step(
         net.reshape(len(net), -1), blocks, mix_blocks(blocks, np.asarray(anc, dtype=complex))
     )
-    net_out = flat.reshape(net.shape)
+    net_out, anc_out = rows[:, :-4].reshape(net.shape), rows[:, -4:].reshape(-1, 2, 2)
     return (net_out[0], anc_out[0]) if alone else (net_out, anc_out)
 
 
@@ -273,8 +273,9 @@ def dense_run_protocols(configs):
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
     for n in range(1, steps + 1):
         mixed = mix_blocks(blocks, np.where(carry, ancilla[:, n - 1], anc0))
-        net, ancilla[:, n] = collision_step(net, blocks, mixed)
-        network[:, n].reshape(len(configs), -1)[:, partition.index] = net
+        net = collision_step(net, blocks, mixed)
+        ancilla[:, n] = net[:, -4:].reshape(-1, 2, 2)
+        network[:, n].reshape(len(configs), -1)[:, partition.index] = net[:, :-4]
     return network, ancilla
 
 

@@ -1,8 +1,6 @@
 """Step map and protocol loop behaviour."""
 
 import dataclasses
-import importlib.util
-import pathlib
 import re
 import tracemalloc
 import warnings
@@ -63,8 +61,7 @@ from reference import (
     reference_step,
     reference_trajectory,
 )
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from test_bench import bench_module
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 KET_ZERO = np.array([1.0, 0.0])
@@ -201,8 +198,9 @@ class TestCleanup:
             bad[0, 1] += 1e-3
         if what == "network":
             ancs[0] *= 2.0
+        rows = np.concatenate([nets.reshape(3, 64), ancs.reshape(3, 4)], axis=1)
         with pytest.raises(NumericalError) as caught:
-            dynamics_module._cleanup([nets.reshape(3, 1, 8, 8)], ancs, partition)
+            dynamics_module._cleanup(rows, partition)
         message = str(caught.value)
         assert message.startswith(f"{what} state ")
         assert message.endswith(" (stack index 1)")
@@ -315,9 +313,9 @@ class TestRunProtocol:
                 for n in range(1, cfg.steps + 1):
                     anc_in = anc0 if mode is ProtocolMode.COLLISION else traj.ancilla[n - 1 : n]
                     mixed = mix_blocks(blocks, anc_in)
-                    net, anc = collision_step(partition.gather(traj[n - 1 : n]), blocks, mixed)
-                    assert np.array_equal(net, partition.gather(traj[n : n + 1]))
-                    assert np.array_equal(anc, traj.ancilla[n : n + 1])
+                    rows = collision_step(partition.gather(traj[n - 1 : n]), blocks, mixed)
+                    assert np.array_equal(rows[:, :-4], partition.gather(traj[n : n + 1]))
+                    assert np.array_equal(rows[:, -4:].reshape(-1, 2, 2), traj.ancilla[n : n + 1])
 
     def test_accepts_density_matrix_inputs(self):
         mixed_net = np.eye(8, dtype=complex) / 8.0
@@ -491,8 +489,8 @@ def partition_step(nets, us, ancs, charge):
     with dense (P, d, d) network outputs."""
     partition = dynamics_module._partition(charge, num_qubits_of(nets.shape[-1]))
     blocks = propagator_blocks(us, partition)
-    flat, anc = collision_step(partition.gather(nets), blocks, mix_blocks(blocks, ancs))
-    return partition.dense(flat), anc
+    rows = collision_step(partition.gather(nets), blocks, mix_blocks(blocks, ancs))
+    return partition.dense(rows[:, :-4]), rows[:, -4:].reshape(-1, 2, 2)
 
 
 class TestStepMap:
@@ -530,17 +528,17 @@ class TestStepMap:
         raw = []
         cleanup = dynamics_module._cleanup
 
-        def spy(blocks, anc_out, partition):
-            raw.extend([blocks, [anc_out]])
-            return cleanup(blocks, anc_out, partition)
+        def spy(rows, partition):
+            # The cleanup repairs the rows in place: keep them as they came.
+            raw.extend([partition.dense(rows[:, :-4]), rows[:, -4:].reshape(-1, 2, 2).copy()])
+            return cleanup(rows, partition)
 
         with mock.patch.object(dynamics_module, "_cleanup", spy):
             partition_step(net[None], u[None], anc[None], charge)
-        for states in raw:
-            trace = sum(np.trace(rho, axis1=-2, axis2=-1).sum() for rho in states)
-            assert abs(trace - 1.0) <= 1e-12
-            for rho in states:
-                assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= 1e-12
+        assert len(raw) == 2
+        for rho in raw:
+            assert abs(np.trace(rho, axis1=-2, axis2=-1).sum() - 1.0) <= 1e-12
+            assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -943,10 +941,7 @@ def dense_route_protocol(case):
 
 def bench_chain_config(n):
     """bench/workloads.chain_config(n): the chain7_carry workload's config document."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.chain_config(n)
+    return bench_module("workloads").chain_config(n)
 
 
 def zero_blocks(charge, n):
@@ -958,8 +953,8 @@ def zero_blocks(charge, n):
 class TestPropagatorBlocks:
     @pytest.mark.parametrize("charge", _CHARGES)
     def test_first_group_into_each_class_covers_it(self, charge):
-        # collision_step takes the first group's sandwiches into a class as
-        # the class's output, so that group must cover it whole.
+        # collision_step adds the groups into a class in this order, so the
+        # order, whole-class groups first, fixes how a step rounds.
         for n in range(1, 9):
             partition, groups = zero_blocks(charge, n)
             first = {}
@@ -992,6 +987,26 @@ class TestPropagatorBlocks:
 
 class TestBlockTrajectory:
     """Trajectories keep sector blocks; densified, they are the dense route's arrays."""
+
+    @pytest.mark.parametrize("sectors", [False, True])
+    def test_blocks_and_ancilla_are_views_of_one_row_array(self, sectors):
+        # Alone or in a stack, a run's states are one C-contiguous
+        # (steps + 1, N + 4) array, and blocks and ancilla read it in place.
+        exchange = make_spec(
+            system_coupling=CouplingKind.EXCHANGE, ancilla_coupling=CouplingKind.EXCHANGE
+        )
+        overrides = dict(spec=exchange, ancilla_init=KET_ONE) if sectors else {}
+        config = make_config(steps=6, **overrides)
+        stack = run_protocols([config, dataclasses.replace(config, mode=ProtocolMode.COLLISION)])
+        for traj in [run_protocol(config)] + stack:
+            n = len(traj.partition.index)
+            assert (n < 64) is sectors
+            assert traj.rows.shape == (7, n + 4) and traj.rows.flags.c_contiguous
+            for view in (traj.blocks, traj.ancilla):
+                assert np.shares_memory(view, traj.rows)
+            assert_same_bits(traj.blocks, traj.rows[:, :n])
+            assert_same_bits(traj.ancilla, traj.rows[:, n:].reshape(7, 2, 2))
+        assert not np.shares_memory(stack[0].rows, stack[1].rows)
 
     @pytest.mark.parametrize("case", DENSE_ROUTE_CASES)
     def test_matches_dense_route(self, case):

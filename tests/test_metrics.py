@@ -558,8 +558,8 @@ def block_trajectory(charge, arrays):
         ancilla_init=np.eye(2) / 2.0, network_init=arrays[0],
     )
     partition = dynamics._partition(charge, n)
-    ancilla = np.broadcast_to(np.eye(2, dtype=complex) / 2.0, (len(arrays), 2, 2))
-    return Trajectory(config, partition, partition.gather(arrays), ancilla)
+    ancilla = np.broadcast_to(np.eye(2, dtype=complex).ravel() / 2.0, (len(arrays), 4))
+    return Trajectory(config, partition, np.hstack([partition.gather(arrays), ancilla]))
 
 
 class TestBlockReductions:

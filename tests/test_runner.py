@@ -579,7 +579,9 @@ class TestOutputs:
         result.table = np.array(
             [[1 / 3, 0.1 + 0.2, 1e-13], [0.0, 1 / 3, 0.1 + 0.2], [1e-13, 0.0, 1.0], [2 / 3, 1e-13, 0.0]]
         )
-        result.trajectory.ancilla = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])] * 2, dtype=complex)
+        result.trajectory.ancilla[:] = np.array(
+            [np.eye(2) / 2, np.diag([1.0, 0.0])] * 2, dtype=complex
+        )
         path = tmp_path / "out.csv"
         emit_csv(result, path)
         assert path.read_bytes() == (

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "Topology",
     "Trajectory",
     "bell_catalog",
-    "build_interaction_hamiltonian",
     "build_propagator",
     "build_protocol",
     "build_system_hamiltonian",
@@ -50,7 +49,7 @@ PUBLIC_NAMES = [
 SUBMODULE_NAMES = {
     "linalg": "ATOL_STATE ATOL_UNITARY IDENTITY_2 PSD_SLACK SIGMA_MINUS SIGMA_PLUS "
     "SIGMA_Y check_density_matrix check_pure_state expm_hermitian",
-    "network": "pair_term qubit_label",
+    "network": "build_interaction_hamiltonian pair_term qubit_label",
     "dynamics": "MAX_STEP_CORRECTION collision_step",
     "metrics": "BellTarget PeakReport all_pairs characterize_peak find_peaks",
     "runner": "DUAL_MODE_PRESETS PRESETS ExperimentResult config_from_dict "
