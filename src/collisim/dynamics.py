@@ -181,6 +181,8 @@ class Trajectory:
     after the n-th collision, at time n * dt. blocks (steps + 1, N) and
     ancilla (steps + 1, 2, 2) are views of rows. Indexing densifies only
     the network states it selects: traj[n] is the (d, d) state of row n.
+    pair_states reduces the rows of a stack of runs, or of a run alone as
+    a stack of one, onto pairs; metrics.pair_concurrences tabulates them.
     """
 
     config: ProtocolConfig
@@ -209,13 +211,6 @@ class Trajectory:
     def network_states(self):
         """The network states, densified as indexed: the trajectory itself."""
         return self
-
-    def pair_states(self, pairs):
-        """Each pair's reduction at every step, (steps + 1, len(pairs), 4, 4).
-
-        pair_states of this run alone.
-        """
-        return pair_states([self], pairs)[0]
 
 
 def pair_states(trajectories, pairs):

@@ -33,17 +33,18 @@ class NumericalError(RuntimeError):
     """A computation left the numerically trustworthy regime."""
 
 
-def first_flagged(flags, values):
+def first_flagged(flags, values, first=0):
     """(location text, value) for the first flagged state of a stack.
 
     The text is empty for a single state and names the stack index
-    otherwise, so a failing state in a trajectory can be found.
+    otherwise, its leading index counted from first, so a failing state
+    in a trajectory, or in a chunk of a larger stack, can be found.
     """
     if flags.ndim == 0:
         return "", float(values)
     index = tuple(int(i) for i in np.argwhere(flags)[0])
-    where = index[0] if len(index) == 1 else index
-    return f" (stack index {where})", float(values[index])
+    where = (index[0] + first,) + index[1:]
+    return f" (stack index {where[0] if len(where) == 1 else where})", float(values[index])
 
 
 def _as_square(m, what="matrix"):
@@ -156,7 +157,10 @@ def check_pure_state(vec, what="state vector"):
     if vec.ndim != 1:
         raise ValueError(f"{what} must be a vector, got shape {vec.shape}")
     n = num_qubits_of(vec.shape[0], what)
-    norm = np.linalg.norm(vec)
+    # A finite ket whose squared norm overflows has norm inf, which the
+    # check below rejects; numpy's overflow warning is not the error.
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
     # Written so that a NaN norm fails too: every comparison with NaN is False.
     if not abs(norm - 1.0) <= ATOL_STATE:
         raise ValueError(f"{what} has norm {float(norm)!r}, expected 1")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import MAX_STACK_BYTES, Trajectory, pair_states
 from .linalg import (
     ATOL_STATE,
     PSD_SLACK,
@@ -42,7 +43,7 @@ _OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 FIDELITY_TIE = 1e-9
 
 
-def concurrence(rho):
+def concurrence(rho, first=0):
     """Wootters concurrence of a two-qubit density matrix.
 
     rho is a 4x4 state, for which a float is returned, or a stack of them
@@ -50,7 +51,8 @@ def concurrence(rho):
     X states take the closed form (see _x_route); the others take one
     eigh and one svd call for all of them (see _general_route). Every
     state must be finite and pass the PSD floor and the trace check; for
-    a stack the error names the index of the first state that fails.
+    a stack the error names the index of the first state that fails, its
+    leading index counted from first, as for a chunk of a larger stack.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -59,7 +61,7 @@ def concurrence(rho):
     flat = rho.reshape(-1, 16)
     finite = np.isfinite(flat).all(axis=-1).reshape(stack)
     if not finite.all():
-        where, _ = first_flagged(~finite, finite)
+        where, _ = first_flagged(~finite, finite, first)
         raise NumericalError(f"state contains non-finite entries{where}")
     # The closed form runs on every state, and the states off the X then
     # overwrite their entries with the general route's.
@@ -71,11 +73,11 @@ def concurrence(rho):
     # Written so that a NaN fails too: every comparison with NaN is False.
     fine = -PSD_SLACK <= lowest
     if not fine.all():
-        where, value = first_flagged(~fine, lowest)
+        where, value = first_flagged(~fine, lowest, first)
         raise NumericalError(f"state eigenvalue {value} below -{PSD_SLACK}{where}")
     fine = np.abs(traces - 1.0) <= 1e-8
     if not fine.all():
-        where, value = first_flagged(~fine, traces)
+        where, value = first_flagged(~fine, traces, first)
         raise ValueError(f"state trace {value} is not 1{where}")
     return float(c) if c.ndim == 0 else c
 
@@ -200,17 +202,31 @@ def reduced_pair(network_state, pair, num_qubits):
     return partial_trace(network_state, discard, num_qubits)
 
 
-def pair_concurrences(trajectory, pairs=None):
-    """Concurrence of each tracked pair at every step.
+def pair_concurrences(trajectories, pairs=None):
+    """Concurrence of each tracked pair at every step, of one run or a stack.
 
-    Returns (pairs, table) where table has shape (steps + 1, len(pairs))
-    and row n belongs to the network state after the n-th collision. The
-    reductions come from Trajectory.pair_states, and the whole table takes
-    one stacked concurrence call.
+    trajectories is one Trajectory, or the P trajectories of one
+    run_protocols call. Returns (pairs, table), table of shape
+    (steps + 1, len(pairs)) for one run and (P, steps + 1, len(pairs))
+    for a stack; row n belongs to the network state after the n-th
+    collision. The reductions come from dynamics.pair_states in chunks of
+    runs that hold at most about MAX_STACK_BYTES / 4 of pair states, one
+    concurrence call each. A failing state is named by its (run, step,
+    pair) index in the stack, or its (step, pair) index for one run.
     """
+    single = isinstance(trajectories, Trajectory)
+    runs = [trajectories] if single else trajectories
     if pairs is None:
-        pairs = all_pairs(trajectory.config.spec.topology.n)
-    return pairs, concurrence(trajectory.pair_states(pairs))
+        pairs = all_pairs(runs[0].config.spec.topology.n)
+    table = np.empty((len(runs), len(runs[0]), len(pairs)))
+    # One run's states and table drop the run axis.
+    lead = 0 if single else slice(None)
+    # A run's pair states hold 16 entries of 16 B per pair and step.
+    chunk = max(1, MAX_STACK_BYTES // 4 // (max(table[0].size, 1) * 16 * 16))
+    for start in range(0, len(runs), chunk):
+        part = slice(start, start + chunk)
+        table[part] = concurrence(pair_states(runs[part], pairs)[lead], start)
+    return pairs, table[lead]
 
 
 def find_peaks(series, min_height):

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    MAX_STACK_BYTES,
     ProtocolConfig,
     ProtocolMode,
     check_run_size,
-    pair_states,
     run_protocol,
     run_protocols,
     runs_per_stack,
@@ -36,7 +34,6 @@ from .metrics import (
     PeakReport,
     all_pairs,
     characterize_peak,
-    concurrence,
     find_peaks,
     pair_concurrences,
     purity,
@@ -405,10 +402,9 @@ class ExperimentResult:
     peaks: list
 
 
-def _analyze(cfg, trajectory, pairs, min_height):
-    """The concurrence table and peak reports of a finished run."""
+def _analyze(cfg, trajectory, pairs, table, min_height):
+    """The peak reports of a finished run, from its concurrence table."""
     n = trajectory.config.spec.topology.n
-    _, table = pair_concurrences(trajectory, pairs)
     peaks = []
     for col, pair in enumerate(pairs):
         for index, value in find_peaks(table[:, col], min_height):
@@ -422,7 +418,8 @@ def _analyze(cfg, trajectory, pairs, min_height):
 def run_experiment(cfg):
     """Run one configured simulation and analyze its concurrence peaks."""
     protocol, pairs, min_height = build_protocol(cfg)
-    return _analyze(cfg, run_protocol(protocol), pairs, min_height)
+    trajectory = run_protocol(protocol)
+    return _analyze(cfg, trajectory, pairs, pair_concurrences(trajectory, pairs)[1], min_height)
 
 
 # Exit code and message prefix for each failure the CLI reports; the
@@ -465,8 +462,9 @@ def sweep(base, param, values):
     value does not count, and each point then varies only that key; a
     bad base fails every point with the error it gets alone. The valid
     points are stepped, built and analyzed as stacks of at most
-    dynamics.MAX_STACK_BYTES of kept blocks, one stack at a time. A row
-    holds each pair's top concurrence peak, read off the table without
+    dynamics.MAX_STACK_BYTES of kept blocks, one stack at a time, with
+    one pair_concurrences call per stack. A row holds each pair's top
+    concurrence peak, read off the stack's tables in one pass without
     characterizing it; rows keep the given order. A failing point is
     recorded in its row and does not abort the others: a stack that
     fails, stepping or tabulating, is rerun one point at a time through
@@ -496,15 +494,19 @@ def sweep(base, param, values):
     # loop reaches in turn; a stack of one that fails records its row.
     for batch in stacks:
         try:
-            tops = _top_rows([point for _, point in batch], pairs)
+            # The stack's trajectories are released once tabulated.
+            _, tables = pair_concurrences(run_protocols([point for _, point in batch]), pairs)
         except _FAILURE_KINDS as exc:
             if len(batch) == 1:
                 rows[batch[0][0]] = _failed_row(values[batch[0][0]], exc)
             else:
                 stacks += [[point] for point in batch]
             continue
-        for (index, _), top in zip(batch, tops):
-            rows[index] = SweepRow(values[index], top, None)
+        n_top, c_top = top_peaks(tables.swapaxes(-1, -2), 0.0)
+        labels = [pair_label(pair) for pair in pairs]
+        for (k, _), ns, cs in zip(batch, n_top.tolist(), c_top.tolist()):
+            top = {label: (n, c) if n >= 0 else None for label, n, c in zip(labels, ns, cs)}
+            rows[k] = SweepRow(values[k], top, None)
     return rows
 
 
@@ -515,29 +517,6 @@ def _vary(protocol, param, value):
         return dataclasses.replace(protocol, dt=number)
     _check_strength(number, param)
     return dataclasses.replace(protocol, spec=dataclasses.replace(protocol.spec, omega=number))
-
-
-def _top_rows(protocols, pairs):
-    """Each run's {pair label: top peak (n, C), or None} from one stack.
-
-    The runs are stepped as one stack, their concurrence tables taken in
-    chunks of at most about MAX_STACK_BYTES / 4 of pair states, one
-    concurrence call each, and every column's top peak in one pass; the
-    stack's trajectories are released on return.
-    """
-    trajectories = run_protocols(protocols)
-    table = np.empty((len(trajectories), len(trajectories[0]), len(pairs)))
-    # A run's pair states hold 16 entries of 16 B per pair and step.
-    chunk = max(1, MAX_STACK_BYTES // 4 // (max(table[0].size, 1) * 16 * 16))
-    for start in range(0, len(trajectories), chunk):
-        runs = slice(start, start + chunk)
-        table[runs] = concurrence(pair_states(trajectories[runs], pairs))
-    index, value = top_peaks(table.swapaxes(-1, -2), 0.0)
-    labels = [pair_label(pair) for pair in pairs]
-    return [
-        {label: (n, c) if n >= 0 else None for label, n, c in zip(labels, run_index, run_value)}
-        for run_index, run_value in zip(index.tolist(), value.tolist())
-    ]
 
 
 def emit_csv(result, path):
@@ -576,9 +555,9 @@ def emit_report(result, path):
 def reproduce(name, out_dir="."):
     """Run a preset and write <name>.csv and <name>_peaks.txt to out_dir.
 
-    For the presets whose two protocol modes coincide, both are run, as
-    one stack, and the maximum concurrence difference between them is
-    included in the returned summary.
+    For the presets whose two protocol modes coincide, both are run and
+    tabulated as one stack, and the maximum concurrence difference between
+    them is included in the returned summary.
     """
     cfg = preset(name)
     protocol, pairs, min_height = build_protocol(cfg)
@@ -586,10 +565,10 @@ def reproduce(name, out_dir="."):
     if name in DUAL_MODE_PRESETS:
         (mode,) = set(ProtocolMode) - {protocol.mode}
         protocols.append(dataclasses.replace(protocol, mode=mode))
-    trajectory, *other = run_protocols(protocols)
-    result = _analyze(cfg, trajectory, pairs, min_height)
-    tables = [pair_concurrences(t, pairs)[1] for t in other]
-    mode_delta = float(np.max(np.abs(result.table - tables[0]))) if tables else None
+    trajectories = run_protocols(protocols)
+    _, tables = pair_concurrences(trajectories, pairs)
+    result = _analyze(cfg, trajectories[0], pairs, tables[0], min_height)
+    mode_delta = float(np.max(np.abs(tables[0] - tables[1]))) if len(tables) > 1 else None
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     report_path = os.path.join(out_dir, f"{name}_peaks.txt")

@@ -73,3 +73,25 @@ def test_peaks_are_reduced_through_reduced_pair(monkeypatch):
     monkeypatch.setattr(runner, "reduced_pair", counted)
     run_experiment(preset("fig5"))
     assert calls
+
+
+def test_sweep_tabulates_through_the_traced_entry_points(monkeypatch):
+    # bench/spans.py times runner.pair_concurrences and metrics.concurrence,
+    # so sweep's tables show in both spans: 30 fig2_cm points run as stacks
+    # of 16 and 14, each tabulated by one pair_concurrences call that makes
+    # one concurrence call per chunk of three runs.
+    monkeypatch.setitem(sys.modules, "workloads", bench_module("workloads"))
+    spans = bench_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rows = runner.sweep(preset("fig2_cm"), "omega", [4.0 + k / 4 for k in range(30)])
+    finally:
+        tracer.uninstall()
+    assert all(row.error is None for row in rows)
+    name, parent = np.array(tracer.name), np.array(tracer.parent)
+    tables = np.flatnonzero(name == tracer.names.index("metrics.pair_concurrences"))
+    chunks = parent[name == tracer.names.index("metrics.concurrence")]
+    assert len(tables) == 2
+    assert [int((chunks == table).sum()) for table in tables] == [6, 5]
+    assert len(chunks) == 11

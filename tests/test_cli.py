@@ -77,6 +77,7 @@ class TestExitCodes:
             ("ancilla_init", ["1", 0], AMPLITUDES),
             ("ancilla_init", [float("nan"), 0], AMPLITUDES),
             ("ancilla_init", [1, 1], "has norm 1.4142135623730951, expected 1"),
+            ("ancilla_init", [1.0e300, 0], "has norm inf, expected 1"),
             ("target", "Q", "'Q' is outside the 3-qubit network"),
             ("target", 3, "3 is outside the 3-qubit network"),
             ("omega", -1, "must be non-negative, got -1.0"),
@@ -87,8 +88,8 @@ class TestExitCodes:
             "peak_min_height-nan", "csv_path-true", "csv_path-2", "report_path-1",
             "topology-1.5", "topology-true", "topology-letters", "topology-ragged",
             "ancilla_init-true", "ancilla_init-string", "ancilla_init-nan",
-            "ancilla_init-unnormalized", "target-letter", "target-index", "omega-negative",
-            "omega0-negative",
+            "ancilla_init-unnormalized", "ancilla_init-overflow", "target-letter", "target-index",
+            "omega-negative", "omega0-negative",
         ],
     )
     def test_bad_values_fail_at_load(self, tmp_path, capsys, key, value, message):

@@ -22,6 +22,7 @@ from collisim.dynamics import (
     ProtocolMode,
     collision_step,
     mix_blocks,
+    pair_states,
     propagator_blocks,
     run_protocol,
     run_protocols,
@@ -394,6 +395,14 @@ class TestValidation:
         for bad in (np.array([np.nan, 0.0]), np.array([1.0, np.inf]), anc):
             with pytest.raises(ValueError, match="ancilla state"):
                 run_protocol(make_config(ancilla_init=bad))
+
+    def test_rejects_overflowing_network_ket_without_warnings(self):
+        ket = basis_ket(3)
+        ket[5] = 1.0e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="network state has norm inf"):
+                run_protocol(make_config(network_init=ket))
 
     def test_rejects_multi_qubit_ancilla(self):
         for bad in (np.eye(4, dtype=complex) / 4.0, basis_ket(2)):
@@ -1018,7 +1027,7 @@ class TestBlockTrajectory:
         assert_same_bits(traj[-1], network[0, -1])
         pairs = all_pairs(protocol.spec.topology.n)
         reduced = dense_pair_states(network[0], pairs, protocol.spec.topology.n)
-        assert_same_bits(traj.pair_states(pairs), reduced)
+        assert_same_bits(pair_states([traj], pairs)[0], reduced)
         assert_same_bits(pair_concurrences(traj)[1], concurrence(reduced))
 
     @settings(max_examples=40, deadline=None)
@@ -1061,12 +1070,15 @@ class TestBlockTrajectory:
             )
         pairs = data.draw(st.lists(st.sampled_from(all_pairs(n)), min_size=1, unique=True))
         network, ancilla = dense_run_protocols(configs)
-        for p, traj in enumerate(run_protocols(configs)):
+        trajectories = run_protocols(configs)
+        _, tables = pair_concurrences(trajectories, pairs)
+        for p, traj in enumerate(trajectories):
             assert_same_bits(traj.network, network[p])
             assert_same_bits(traj.ancilla, ancilla[p])
             reduced = dense_pair_states(network[p], pairs, n)
-            assert_same_bits(traj.pair_states(pairs), reduced)
+            assert_same_bits(pair_states([traj], pairs)[0], reduced)
             assert_same_bits(pair_concurrences(traj, pairs)[1], concurrence(reduced))
+            assert_same_bits(tables[p], concurrence(reduced))
 
     def test_chain7_carry_stores_blocks_only(self):
         # The dense (201, 128, 128) trajectory alone takes 52.7 MB; the

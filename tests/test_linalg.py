@@ -1,5 +1,7 @@
 """Kernel checks: tensor algebra, eigensolvers, partial trace."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,15 @@ class TestStateChecks:
         for diagonal in ([np.nan, 1.0], [np.inf, 0.0]):
             with pytest.raises(ValueError, match="trace"):
                 check_density_matrix(np.diag(diagonal))
+
+    def test_rejects_overflowing_norm_without_warnings(self):
+        # A finite ket whose squared norm overflows has norm inf: the norm
+        # check names the key, and numpy's overflow warning stays inside.
+        for ket in ([1.0e300, 0.0], [0.0, 1.0e300, 1.0e300, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^config key ancilla_init has norm inf,"):
+                    check_pure_state(np.array(ket), "config key ancilla_init")
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]])

@@ -1,5 +1,7 @@
 """Concurrence, fidelity, Bell catalog, and peak detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from collisim.dynamics import (
     ProtocolConfig,
     ProtocolMode,
     Trajectory,
+    pair_states,
     run_protocol,
+    run_protocols,
 )
 from collisim.linalg import NumericalError, density_from_pure
 from collisim.metrics import (
@@ -260,6 +264,9 @@ class TestStackedConcurrence:
             error, message = NumericalError, "state contains non-finite entries"
         with pytest.raises(error, match=rf"{message} .*\(stack index {index}\)"):
             concurrence(stack)
+        # A chunk of a larger stack counts its leading index from first.
+        with pytest.raises(error, match=rf"{message} .*\(stack index {index + 7}\)"):
+            concurrence(stack, first=7)
         with pytest.raises(error, match=message):
             concurrence(stack[index])
 
@@ -325,6 +332,8 @@ class TestStackedConcurrence:
         stack[2, 1] = np.eye(4)
         with pytest.raises(ValueError, match=r"\(stack index \(2, 1\)\)"):
             concurrence(stack)
+        with pytest.raises(ValueError, match=r"\(stack index \(6, 1\)\)"):
+            concurrence(stack, first=4)
 
     def test_rejects_wrong_shape_stack(self):
         with pytest.raises(ValueError, match="4x4"):
@@ -502,7 +511,10 @@ class TestPairConcurrences:
     def test_charge_conserving_runs_skip_lapack(self, monkeypatch):
         # Parity (fig2_cm) and excitation-number (exchange chain) runs give
         # X-shaped reductions only, which take the closed form; fig6 keeps
-        # no charge and still reaches the eigh route.
+        # no charge and still reaches the eigh route. So do stacks: a
+        # 16-run fig2_cm omega stack, tabulated in six chunks of three runs,
+        # and fig6 in both modes. A stack's tables equal each run's own bit
+        # for bit.
         chain = config_from_dict(
             dict(
                 topology=[[1 if abs(i - j) == 1 else 0 for j in range(4)] for i in range(4)],
@@ -515,6 +527,16 @@ class TestPairConcurrences:
             for name, cfg in (("fig2_cm", preset("fig2_cm")), ("chain4", chain), ("fig6", preset("fig6")))
         }
         tables = {name: pair_concurrences(traj)[1] for name, traj in trajectories.items()}
+        fig6 = build_protocol(preset("fig6"))[0]
+        stacks = {
+            "fig2_cm": omega_stack(16),
+            "fig6": run_protocols([fig6, dataclasses.replace(fig6, mode=ProtocolMode.COLLISION)]),
+        }
+        stacked = {name: pair_concurrences(runs)[1] for name, runs in stacks.items()}
+        for name, runs in stacks.items():
+            assert stacked[name].shape == (len(runs), len(runs[0]), 3)
+            for run, table in zip(runs, stacked[name]):
+                assert_same_bits(table, pair_concurrences(run)[1])
 
         class LapackCalled(Exception):
             pass
@@ -528,8 +550,20 @@ class TestPairConcurrences:
             _, table = pair_concurrences(trajectories[name])
             assert np.array_equal(table, tables[name])
             assert table.max() > 0.1
-        with pytest.raises(LapackCalled):
-            pair_concurrences(trajectories["fig6"])
+        assert np.array_equal(pair_concurrences(stacks["fig2_cm"])[1], stacked["fig2_cm"])
+        for runs in (trajectories["fig6"], stacks["fig6"]):
+            with pytest.raises(LapackCalled):
+                pair_concurrences(runs)
+
+    def test_a_failing_state_is_named_by_its_index_in_the_stack(self):
+        # Run 5 of 8 is in the second chunk of three runs, but the error
+        # counts from the stack's first run; a run alone names (step, pair).
+        runs = omega_stack(8)
+        runs[5].rows[3, 0] = np.nan
+        for where, given_runs in (("(5, 3, 0)", runs), ("(3, 0)", runs[5])):
+            with pytest.raises(NumericalError) as error:
+                pair_concurrences(given_runs)
+            assert str(error.value).endswith(f"non-finite entries (stack index {where})")
 
     def test_rejects_bad_pairs(self):
         traj = self.make_trajectory(steps=3)
@@ -540,10 +574,27 @@ class TestPairConcurrences:
     def test_no_pairs_gives_an_empty_table(self):
         pairs, table = pair_concurrences(self.make_trajectory(steps=3), [])
         assert pairs == [] and table.shape == (4, 0)
+        runs = omega_stack(16)
+        pairs, tables = pair_concurrences(runs, [])
+        assert pairs == [] and tables.shape == (16, 81, 0)
+        for run, table in zip(runs, tables):
+            assert_same_bits(table, pair_concurrences(run, [])[1])
 
     def test_all_pairs_helper(self):
         assert all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
         assert all_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def omega_stack(count):
+    """fig2_cm at count omegas, 4, 4.5, ..., stepped as one stack."""
+    protocol = build_protocol(preset("fig2_cm"))[0]
+    spec = protocol.spec
+    return run_protocols(
+        [
+            dataclasses.replace(protocol, spec=dataclasses.replace(spec, omega=4.0 + k / 2))
+            for k in range(count)
+        ]
+    )
 
 
 def block_trajectory(charge, arrays):
@@ -576,7 +627,8 @@ class TestBlockReductions:
             labels = _register_charge(charge, n)[: 2**n]
             assert not traj.network[:, labels[:, None] != labels].any()
             pairs = all_pairs(n)
-            assert_same_bits(traj.pair_states(pairs), dense_pair_states(traj.network, pairs, n))
+            reduced = dense_pair_states(traj.network, pairs, n)
+            assert_same_bits(pair_states([traj], pairs)[0], reduced)
             # The entries kept have a term in the sectors at every t.
             entries, columns = dynamics._pair_gather(charge, n, tuple(pairs))
             assert (columns >= 0).all() and len(entries) == columns.shape[1]
@@ -598,7 +650,7 @@ class TestBlockReductions:
         )
         pairs = data.draw(st.lists(st.sampled_from(all_pairs(n)), unique=True))
         reduced = dense_pair_states(traj.network, pairs, n)
-        assert_same_bits(traj.pair_states(pairs), reduced)
+        assert_same_bits(pair_states([traj], pairs)[0], reduced)
         assert_same_bits(pair_concurrences(traj, pairs)[1], concurrence(reduced))
 
 

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import collisim.dynamics as dynamics_module
+import collisim.metrics as metrics_module
 import collisim.runner as runner_module
 from collisim.dynamics import ProtocolMode
 from collisim.linalg import NumericalError
@@ -449,14 +450,14 @@ class TestSweep:
         # rerun point by point, and every other row equals its run alone.
         values = [4.0, 5.0, 6.0]
         alone = [sweep(small_config(), "omega", [value])[0] for value in values]
-        pair_states = runner_module.pair_states
+        pair_states = metrics_module.pair_states
 
         def flaky(trajectories, pairs):
             if any(trajectory.config.spec.omega == 5.0 for trajectory in trajectories):
                 raise NumericalError("concurrence of a bad state")
             return pair_states(trajectories, pairs)
 
-        monkeypatch.setattr(runner_module, "pair_states", flaky)
+        monkeypatch.setattr(metrics_module, "pair_states", flaky)
         rows = sweep(small_config(), "omega", values)
         assert isinstance(rows[1].error, NumericalError) and rows[1].top == {}
         for k in (0, 2):
@@ -500,13 +501,13 @@ class TestSweep:
         # A row's error holds no traceback, so no frame of sweep, and with
         # it no trajectory, outlives the call even without the cyclic GC.
         refs = []
-        pair_states = runner_module.pair_states
+        pair_states = metrics_module.pair_states
 
         def tracked(trajectories, pairs):
             refs.extend(weakref.ref(trajectory) for trajectory in trajectories)
             return pair_states(trajectories, pairs)
 
-        monkeypatch.setattr(runner_module, "pair_states", tracked)
+        monkeypatch.setattr(metrics_module, "pair_states", tracked)
         gc.disable()
         try:
             rows = sweep(preset("fig2_cm"), "omega", [5.0, -1.0])
