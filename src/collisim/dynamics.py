@@ -79,9 +79,10 @@ from .network import NetworkSpec, build_propagator
 # rather than silently repaired.
 MAX_STEP_CORRECTION = 1e-8
 
-# The propagator blocks U_ja = <j|U|a> as (j, a), those that keep the
-# ancilla state first.
-_ALL_BLOCKS = ((0, 0), (1, 1), (0, 1), (1, 0))
+# The propagator blocks U_ja = <j|U|a> as (j, a), in the order of the 2 x 2
+# (j, a) grid: an uncharged ancilla's sector pairs link all four, a charged
+# one's those that move the charge alike, in this order.
+_ALL_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # The flattened 2x2 ancilla: the index of its transpose and its diagonal.
 _ANCILLA_TRANSPOSE = np.array([0, 2, 1, 3])
@@ -440,14 +441,14 @@ class _Group(namedtuple("_Group", "s_class s_pos t_class t_pos u u_adj ja diagon
     """Step sandwiches of one shape, from S sectors of charge q to charge t.
 
     The sectors are positions s_pos of class s_class and t_pos of class
-    t_class, None for a whole class in order; no two share a target. u
-    holds the propagator blocks U_ja restricted to each sector pair,
-    (P, S, J, A, b_t, b_s), and u_adj their adjoints as one vertical stack
-    per sector pair, (P, S, J*A*b_s, b_t): for an uncharged ancilla j and
-    a each run over 0 and 1; for a charged one each of the J blocks has
-    its own (j, a), A = 1, listed in ja (S, J, 2). For a charged ancilla,
-    diagonal is the (2, S*J) 0/1 matrix that adds each block's part to
-    the ancilla entry (j, j).
+    t_class, each slice(None) for a whole class in order or an index
+    array; no two share a target. ja (S, J, A, 2) lists the (j, a) of
+    each block U_ja: the whole 2 x 2 grid for an uncharged ancilla, and
+    for a charged one each of the J blocks with its own (j, a), A = 1. u
+    holds the blocks restricted to each sector pair, (P, S, J, A, b_t,
+    b_s), and u_adj their adjoints as one vertical stack per sector pair,
+    (P, S, J*A*b_s, b_t). For a charged ancilla, diagonal is the (2, S*J)
+    0/1 matrix that adds each block's part to the ancilla entry (j, j).
     """
 
     __slots__ = ()
@@ -462,7 +463,9 @@ def propagator_blocks(u, partition):
     ancilla keeps the charge, and the block U_ja for a charged one moves
     it by a - j. Pairs of one shape and number of blocks are grouped by
     rank: the k-th such pair into a target joins that shape's k-th group,
-    so no group has a target twice.
+    so no group has a target twice. Each group's blocks are one gather
+    of u over its (j, a) grid: rows j*d plus the target sector's basis
+    states, columns a*d plus the source sector's.
     """
     d = u.shape[-1] // 2
     home = {}
@@ -485,13 +488,14 @@ def propagator_blocks(u, partition):
         for members in bins.values():
             src = np.array([partition.sectors[q] for (q, _), _ in members])
             dst = np.array([partition.sectors[t] for (_, t), _ in members])
-            ja = np.array([ja for _, ja in members])
-            if partition.charge[1]:
-                js, avals = ja[:, :, :1], ja[:, :, 1:]
-            else:
-                js, avals = np.array([[[0], [1]]]), np.array([[[0, 1]]])
-            rows = js[..., None, None] * d + dst[:, None, None, :, None]
-            cols = avals[..., None, None] * d + src[:, None, None, None, :]
+            # (S, J, A, 2): an uncharged ancilla's links hold the whole grid.
+            per_j = 1 if partition.charge[1] else 2
+            ja = np.array([ja for _, ja in members]).reshape(len(members), -1, per_j, 2)
+            rows = ja[..., :1, None] * d + dst[:, None, None, :, None]
+            cols = ja[..., 1:, None] * d + src[:, None, None, None, :]
+            # Mixed slice and fancy indexing leaves the run axis inside; a
+            # strided array would round differently.
+            blocks = np.ascontiguousarray(u[:, rows, cols])
             s_class, s_pos = zip(*[home[q] for (q, _), _ in members])
             t_class, t_pos = zip(*[home[t] for (_, t), _ in members])
             groups.append(
@@ -500,25 +504,23 @@ def propagator_blocks(u, partition):
                     _positions(s_pos, partition.classes[s_class[0]]),
                     t_class[0],
                     _positions(t_pos, partition.classes[t_class[0]]),
-                    # Mixed slice and fancy indexing leaves the run axis
-                    # inside; a strided array would round differently.
-                    np.ascontiguousarray(u[:, rows, cols]),
-                    np.ascontiguousarray(
-                        u[:, rows.swapaxes(-1, -2), cols.swapaxes(-1, -2)].conj()
-                    ).reshape(len(u), len(members), -1, dst.shape[1]),
+                    blocks,
+                    np.ascontiguousarray(blocks.swapaxes(-1, -2).conj()).reshape(
+                        len(u), len(members), -1, dst.shape[1]
+                    ),
                     ja,
-                    (ja[:, :, 0].ravel() == [[0], [1]]) if partition.charge[1] else None,
+                    (ja[..., 0].ravel() == [[0], [1]]) if partition.charge[1] else None,
                 )
             )
     # Groups that cover a whole class go first: the order in which the step
     # adds the groups' sandwiches into a class fixes how they round.
-    groups.sort(key=lambda g: g.t_pos is not None)
+    groups.sort(key=lambda g: not isinstance(g.t_pos, slice))
     return partition, groups
 
 
 def _positions(pos, cls):
-    """None for every sector of the class in order, else the positions as an array."""
-    return None if list(pos) == list(range(len(cls[1]))) else np.array(pos)
+    """slice(None) for every sector of the class in order, else the positions as an array."""
+    return slice(None) if list(pos) == list(range(len(cls[1]))) else np.array(pos)
 
 
 # An infinite input makes NaN (inf times 0) inside the mix or the step,
@@ -532,7 +534,7 @@ def mix_blocks(blocks, anc):
     partition, groups = blocks
     if partition.charge[1]:
         weight = anc[:, [0, 1], [0, 1]].real
-        return [np.take(weight, g.ja[:, :, 1], axis=1)[..., None, None, None] * g.u for g in groups]
+        return [np.take(weight, g.ja[..., 1], axis=1)[..., None, None] * g.u for g in groups]
     eta = anc[:, None, None, :, :, None, None]
     return [eta[:, :, :, 0] * g.u[:, :, :, :1] + eta[:, :, :, 1] * g.u[:, :, :, 1:] for g in groups]
 
@@ -558,16 +560,12 @@ def collision_step(rows, blocks, mixed):
     anc = out[:, n::3] if charged else out[:, n:].reshape(-1, 2, 2)
     for g, v in zip(groups, mixed):
         p, s, j, _, b_t, b_s = g.u.shape
-        state = rho[g.s_class] if g.s_pos is None else np.take(rho[g.s_class], g.s_pos, axis=1)
         # Y_jb = V_jb rho for every block in one product.
-        y = v.reshape(p, s, -1, b_s) @ state
+        y = v.reshape(p, s, -1, b_s) @ rho[g.s_class][:, g.s_pos]
         # sum_jb Y_jb U_jb^dagger = hstack(Y) @ vstack(U^dagger).
         y_row = y.reshape(p, s, -1, b_t, b_s).swapaxes(-3, -2).reshape(p, s, b_t, -1)
         sandwich = y_row @ g.u_adj
-        if g.t_pos is None:
-            classes[g.t_class] += sandwich
-        else:
-            classes[g.t_class][:, g.t_pos] += sandwich
+        classes[g.t_class][:, g.t_pos] += sandwich
         # anc'_jk = sum_b tr(Y_jb U_kb^dagger); vecdot conjugates its first
         # argument and sums in the order vdot does. Blocks with another a
         # never share a sector pair, so a charged ancilla gets only its

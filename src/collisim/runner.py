@@ -170,15 +170,6 @@ def load_config(path):
     return config_from_dict(doc)
 
 
-_COUPLINGS = {
-    "xx": CouplingKind.XX,
-    "zz": CouplingKind.ZZ,
-    "exchange": CouplingKind.EXCHANGE,
-}
-_MODES = {
-    "collision": ProtocolMode.COLLISION,
-    "repeated": ProtocolMode.REPEATED_INTERACTION,
-}
 _KETS = {
     "0": np.array([1.0, 0.0], dtype=complex),
     "1": np.array([0.0, 1.0], dtype=complex),
@@ -187,13 +178,13 @@ _KETS = {
 }
 
 
-def _parse_coupling(value, key):
-    try:
-        return _COUPLINGS[str(value).lower()]
-    except KeyError:
-        raise ValueError(
-            f"config key {key} must be one of XX, ZZ, Exchange, got {value!r}"
-        ) from None
+def _parse_choice(value, key, kinds):
+    """The member of the Enum kinds whose value is the string value, ignoring case."""
+    for kind in kinds:
+        if isinstance(value, str) and value.lower() == kind.value.lower():
+            return kind
+    names = ", ".join(kind.value for kind in kinds)
+    raise ValueError(f"config key {key} must be one of {names}, got {value!r}")
 
 
 def _is_integer(value):
@@ -252,11 +243,11 @@ def _parse_ket(value, key):
 
 
 def _parse_bitstring(value, n, key):
-    text = str(value)
-    if len(text) != n or set(text) - {"0", "1"}:
-        raise ValueError(f"config key {key} must be a bitstring of length {n}")
+    """A string of n 0/1 digits; YAML reads unquoted digits as an integer."""
+    if not (isinstance(value, str) and len(value) == n and set(value) <= {"0", "1"}):
+        raise ValueError(f"config key {key} must be a bitstring of length {n}, got {value!r}")
     ket = np.zeros(2**n, dtype=complex)
-    ket[int(text, 2)] = 1.0
+    ket[int(value, 2)] = 1.0
     return ket
 
 
@@ -309,19 +300,16 @@ def build_protocol(cfg):
         raise ValueError(f"config key target {cfg.target!r} is outside the {n}-qubit network")
     spec = NetworkSpec(
         topology=topology,
-        system_coupling=_parse_coupling(cfg.system_coupling, "system_coupling"),
+        system_coupling=_parse_choice(cfg.system_coupling, "system_coupling", CouplingKind),
         omega0=numbers["omega0"],
-        ancilla_coupling=_parse_coupling(cfg.ancilla_coupling, "ancilla_coupling"),
+        ancilla_coupling=_parse_choice(cfg.ancilla_coupling, "ancilla_coupling", CouplingKind),
         omega=numbers["omega"],
         target=target,
     )
-    mode_key = str(cfg.mode).lower()
-    if mode_key not in _MODES:
-        raise ValueError(f'mode must be "collision" or "repeated", got {cfg.mode!r}')
     network_init = "0" * n if cfg.network_init is None else cfg.network_init
     protocol = ProtocolConfig(
         spec=spec,
-        mode=_MODES[mode_key],
+        mode=_parse_choice(cfg.mode, "mode", ProtocolMode),
         dt=numbers["dt"],
         steps=steps,
         ancilla_init=_parse_ket(cfg.ancilla_init, "ancilla_init"),

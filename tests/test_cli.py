@@ -7,10 +7,12 @@ import warnings
 import pytest
 import yaml
 
+from collisim.dynamics import _CHARGES
 from collisim.linalg import NumericalError
-from collisim.runner import config_to_dict, main, preset
+from collisim.runner import PRESETS, config_to_dict, main, preset
 import collisim.dynamics as dynamics_module
 import collisim.runner as runner_module
+from test_bench import bench_module
 
 
 def write_config(tmp_path, **overrides):
@@ -82,6 +84,7 @@ class TestExitCodes:
             ("target", 3, "3 is outside the 3-qubit network"),
             ("omega", -1, "must be non-negative, got -1.0"),
             ("omega0", -0.5, "must be non-negative, got -0.5"),
+            ("mode", ["repeated"], "must be one of collision, repeated, got ['repeated']"),
         ],
         ids=[
             "steps-1", "steps-true", "omega-nan", "omega0-inf", "dt-inf",
@@ -89,7 +92,7 @@ class TestExitCodes:
             "topology-1.5", "topology-true", "topology-letters", "topology-ragged",
             "ancilla_init-true", "ancilla_init-string", "ancilla_init-nan",
             "ancilla_init-unnormalized", "ancilla_init-overflow", "target-letter", "target-index",
-            "omega-negative", "omega0-negative",
+            "omega-negative", "omega0-negative", "mode-list",
         ],
     )
     def test_bad_values_fail_at_load(self, tmp_path, capsys, key, value, message):
@@ -101,6 +104,20 @@ class TestExitCodes:
             assert main(["run", str(path)]) == 1
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    def test_unquoted_bitstring_fails_at_load(self, tmp_path, capsys):
+        # YAML reads an unquoted 011 as the octal integer 9, not a bitstring.
+        path = write_config(tmp_path, network_init="011")
+        text = path.read_text(encoding="utf-8")
+        assert "network_init: '011'\n" in text
+        path.write_text(text.replace("'011'", "011"), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "config key network_init must be a bitstring of length 3, got 9" in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_run_over_the_storage_limit(self, tmp_path, capsys):
@@ -139,6 +156,24 @@ class TestExitCodes:
         assert "numerical error" in capsys.readouterr().err
 
 
+def partition_config(charge):
+    """A config document whose run steps in the partition of one of _CHARGES."""
+    triangle3 = dict(
+        topology="triangle3", omega=5.0, target="A", mode="repeated", dt=0.4, steps=20
+    )
+    return {
+        ("number", False): dict(
+            triangle3, system_coupling="Exchange", ancilla_coupling="ZZ", ancilla_init="+"
+        ),
+        ("number", True): bench_module("workloads").chain_config(4),
+        ("parity", False): PRESETS["fig2_cm"],
+        ("parity", True): dict(
+            triangle3, system_coupling="XX", ancilla_coupling="XX", ancilla_init="1"
+        ),
+        (None, False): PRESETS["fig6"],
+    }[charge]
+
+
 class TestRunCommand:
     def test_preset_by_name(self, capsys):
         assert main(["run", "fig2_cm"]) == 0
@@ -164,6 +199,28 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "C_AB: no peaks at or above 0.9" in out
+
+    @pytest.mark.parametrize("charge", _CHARGES, ids=lambda charge: "-".join(map(str, charge)))
+    def test_every_partition_runs(self, tmp_path, capsys, monkeypatch, charge):
+        # Each partition's step, mix and tabulation run end to end with no
+        # numpy warning, in the partition the config is meant to reach.
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(partition_config(charge)), encoding="utf-8")
+        seen = []
+        blocks = dynamics_module.propagator_blocks
+
+        def spy(u, partition):
+            seen.append(partition.charge)
+            return blocks(u, partition)
+
+        monkeypatch.setattr(dynamics_module, "propagator_blocks", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path)]) == 0
+        assert seen == [charge]
+        captured = capsys.readouterr()
+        assert "C_AB:" in captured.out
+        assert captured.err == ""
 
 
 class TestReproduceCommand:

@@ -970,7 +970,7 @@ class TestPropagatorBlocks:
             for g in groups:
                 first.setdefault(g.t_class, g)
             assert sorted(first) == list(range(len(partition.classes)))
-            assert all(g.t_pos is None for g in first.values())
+            assert all(g.t_pos == slice(None) for g in first.values())
 
     @pytest.mark.parametrize("charge", _CHARGES)
     def test_groups_match_first_fit(self, charge):
@@ -979,14 +979,17 @@ class TestPropagatorBlocks:
 
             def charges(c, pos):
                 qs = partition.classes[c][1]
-                return qs if pos is None else [qs[i] for i in pos]
+                return qs[pos] if isinstance(pos, slice) else [qs[i] for i in pos]
 
             got = [
                 list(
                     zip(
                         charges(g.s_class, g.s_pos),
                         charges(g.t_class, g.t_pos),
-                        [[tuple(b) for b in blocks] for blocks in g.ja.tolist()],
+                        [
+                            [tuple(b) for b in blocks]
+                            for blocks in g.ja.reshape(len(g.ja), -1, 2).tolist()
+                        ],
                     )
                 )
                 for g in groups

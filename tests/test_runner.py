@@ -203,6 +203,12 @@ class TestBuildProtocol:
             build_protocol(small_config(network_init="01"))
         with pytest.raises(ValueError, match="network_init"):
             build_protocol(small_config(network_init="012"))
+        # YAML reads unquoted digits as an integer, 011 as octal 9; only a
+        # string is a bitstring, and the message shows the value read.
+        for value in (9, 0, 101):
+            message = f"config key network_init must be a bitstring of length 3, got {value}$"
+            with pytest.raises(ValueError, match=message):
+                build_protocol(small_config(network_init=value))
 
     def test_checks_configs_that_skip_loading(self):
         # Configs built in code, as sweep builds its points, get the same checks.
