@@ -43,10 +43,10 @@ shape run as one batched product.
 A run's state is one row of N + 4 entries: the network's N sector-block
 entries, then its ancilla's 4. The step adds into views of a zeroed row,
 which the cleanup repairs in place. It takes stacks and treats each state
-as it would alone: run_protocols steps P runs of one size through one
-set of propagator blocks, and run_protocol is its case P = 1. Each
-Trajectory keeps its run's (steps + 1, N + 4) rows, which pair_states
-reduces directly; dense network states are built only on request.
+as it would alone: _windows steps P runs of one size through one set of
+propagator blocks and yields their rows a window of steps at a time, all
+of them for run_protocols (run_protocol is its case P = 1). pair_states
+reduces the rows directly; dense network states are built only on request.
 MAX_RUN_BYTES bounds a run, MAX_STACK_BYTES a sweep's stack.
 """
 
@@ -94,11 +94,10 @@ _ANCILLA_DIAGONAL = np.array([0, 3])
 # a trajectory keeps only its sector blocks.
 MAX_RUN_BYTES = 2 * 2**30
 
-# Largest stack of runs that sweep steps together, counted by what each run
-# keeps: its sector blocks and its ancilla at every step, 16 B an entry.
-# That is sixteen 81-step fig2_cm runs, whose 32 block entries a state are
-# half its 64 dense ones. Larger stacks share more per-stack work: 1 MiB
-# stepped a fig2_cm sweep about 11% faster (2 vCPUs), with a higher peak.
+# Largest stack of runs that sweep streams together, 16 B an entry: their
+# propagators and blocks, and the window of steps whose rows and pair states
+# it keeps at a time (runs_per_stack): 43 fig2_cm runs, 5 steps at a time.
+# The runs of a stack share each step's fixed cost.
 MAX_STACK_BYTES = 3 * 2**18
 
 
@@ -123,17 +122,26 @@ def check_run_size(num_qubits, steps):
 
 
 def runs_per_stack(protocol):
-    """How many runs like this one fit in MAX_STACK_BYTES; at least one.
+    """How many runs like this one sweep streams as one stack; at least one.
 
-    A run keeps (steps + 1) rows of its N sector blocks and its 4 ancilla
-    entries, N in the partition the run steps in alone. A run whose
-    propagator fails to build is counted dense, N = 4**n.
+    A window's pair states take a quarter of MAX_STACK_BYTES, so with its
+    (N + 4)-entry rows it takes the same bytes in any stack. The blocks
+    fill the rest: a run's 4**(n + 1)-entry propagator and three times its
+    blocks (u, u_adj, mixed), counted dense if the propagator fails to build.
     """
+    n = protocol.spec.topology.n
     try:
-        entries = len(_layout([protocol])[3].index)
+        partition, groups = propagator_blocks(*_layout([protocol])[2:])
+        entries, blocks = len(partition.index), sum(g.u[0].size for g in groups)
     except (ValueError, NumericalError):
-        entries = 4**protocol.spec.topology.n
-    return max(1, MAX_STACK_BYTES // ((protocol.steps + 1) * (entries + 4) * 16))
+        entries, blocks = 4**n, 4 ** (n + 1)
+    window = _window_steps(1, n) * (entries + 4 + 8 * n * (n - 1)) * 16
+    return max(1, (MAX_STACK_BYTES - window) // ((4 ** (n + 1) + 3 * blocks) * 16))
+
+
+def _window_steps(runs, n):
+    """Steps whose pair states, 256 B per pair of n qubits and run, fill MAX_STACK_BYTES / 4."""
+    return max(1, MAX_STACK_BYTES // 4 // (runs * 256 * max(1, n * (n - 1) // 2)))
 
 
 class ProtocolMode(Enum):
@@ -214,28 +222,40 @@ class Trajectory:
         return self
 
 
-def pair_states(trajectories, pairs):
-    """Each pair's reduction at every step of runs in one partition,
-    (P, steps + 1, len(pairs), 4, 4), as for the runs of one run_protocols call.
+class _Stack(list):
+    """The Trajectories of a stack in order, and rows, their rows as one
+    (P, T, N + 4) array whose row 0 is after collision start; a slice is a _Stack."""
 
-    One gather per discarded basis state from each run's contiguous rows
-    (np.take would copy the strided blocks view whole for every gather),
-    added in partial_trace's order; the terms it skips, outside the
-    sectors, are exact zeros, so the states equal partial_trace's bit for bit.
+    def __init__(self, runs, rows, start=0):
+        super().__init__(runs)
+        self.rows, self.start = rows, start
+
+    def __getitem__(self, index):
+        runs = super().__getitem__(index)
+        return _Stack(runs, self.rows[index], self.start) if isinstance(index, slice) else runs
+
+
+def pair_states(trajectories, pairs):
+    """Each pair's reduction at every step of a _Stack, or of a list of one
+    run, (P, T, len(pairs), 4, 4).
+
+    One gather per discarded basis state over the whole stack's rows,
+    never copied, added in partial_trace's order; the terms it skips,
+    outside the sectors, are exact zeros, so the states equal
+    partial_trace's bit for bit.
     """
     first = trajectories[0]
+    rows = trajectories.rows if isinstance(trajectories, _Stack) else first.rows[None]
+    if len(rows) != len(trajectories):
+        raise ValueError("pair_states needs the runs of one stack")
     n = first.config.spec.topology.n
     entries, columns = _pair_gather(first.partition.charge, n, tuple(map(tuple, pairs)))
-    shape = (len(trajectories), len(first))
-    kept = np.zeros(shape + (len(entries),), dtype=complex)
-    for run, trajectory in zip(kept, trajectories):
-        if trajectory.partition is not first.partition:
-            raise ValueError("pair_states needs runs stepped in one partition")
-        for t_columns in columns:
-            run += np.take(trajectory.rows, t_columns, axis=1)
-    states = np.zeros(shape + (16 * len(pairs),), dtype=complex)
+    kept = np.zeros(rows.shape[:2] + (len(entries),), dtype=complex)
+    for t_columns in columns:
+        kept += np.take(rows, t_columns, axis=2)
+    states = np.zeros(rows.shape[:2] + (16 * len(pairs),), dtype=complex)
     states[..., entries] = kept
-    return states.reshape(shape + (len(pairs), 4, 4))
+    return states.reshape(rows.shape[:2] + (len(pairs), 4, 4))
 
 
 def _as_density(state, expected_qubits, what):
@@ -601,38 +621,48 @@ def _layout(configs):
     return anc0, net0, u, _choose_partition(u, net0, anc0)
 
 
-def run_protocols(configs):
-    """Step several runs together; returns one Trajectory per config.
-
-    The configs must share the network size and the step count, as the
-    points of a sweep over omega or dt do; their couplings, dt, modes and
-    initial states may differ. The initial states are validated and the
-    propagators built as one stack, and their blocks laid out once, in
-    the finest charge partition that every run keeps; the steps trust all
-    three. Each step is one collision_step call on the stack's rows, with
-    the blocks mixed by each run's incoming ancilla: its initial state in
-    collision mode, its previous step's ancilla in repeated-interaction
-    mode. A stack in which no run carries is mixed once, any other before
-    every step. The rows of every run and step are one (P, steps + 1,
-    N + 4) array allocated up front; each step writes its slot, and slot
-    0 holds the initial states.
-    """
+def _windows(configs, size=None):
+    """Step runs that share the network size and step count together,
+    yielding their rows as _Stacks of size steps (by default _window_steps),
+    each overwritten by the next. The propagators are built and laid out
+    once, in the finest partition every run keeps; each step is one
+    collision_step call, its blocks mixed by each run's incoming ancilla:
+    its initial state in collision mode, its last step's ancilla in
+    repeated-interaction mode. A stack in which no run carries is mixed
+    once, any other before every step."""
     anc0, net0, u, partition = _layout(configs)
     blocks = propagator_blocks(u, partition)
-    # The steps read only the blocks: free U before the trajectory rows.
+    # The steps read only the blocks: free U before the rows.
     del u
     n, p, steps = len(partition.index), len(configs), configs[0].steps
-    rows = np.empty((p, steps + 1, n + 4), dtype=complex)
+    size = min(size or _window_steps(p, configs[0].spec.topology.n), steps + 1)
+    rows = np.empty((p, size, n + 4), dtype=complex)
+    runs = [Trajectory(c, partition, r) for c, r in zip(configs, rows)]
     rows[:, 0, :n], rows[:, 0, n:] = partition.gather(net0), anc0.reshape(p, 4)
+    row = rows[:, 0]
     carry = np.array([c.mode is ProtocolMode.REPEATED_INTERACTION for c in configs])[:, None, None]
     some = carry.any()
     mixed = mix_blocks(blocks, anc0)
-    for k in range(1, steps + 1):
-        # A reset ancilla keeps its mixed blocks; a carried one is mixed again.
-        if some:
-            mixed = mix_blocks(blocks, np.where(carry, rows[:, k - 1, n:].reshape(p, 2, 2), anc0))
-        rows[:, k] = collision_step(rows[:, k - 1], blocks, mixed)
-    return [Trajectory(c, partition, rows[i]) for i, c in enumerate(configs)]
+    for k in range(steps + 1):
+        if k:
+            # A reset ancilla keeps its mixed blocks; a carried one is mixed again.
+            if some:
+                mixed = mix_blocks(blocks, np.where(carry, row[:, n:].reshape(p, 2, 2), anc0))
+            row = collision_step(row, blocks, mixed)
+            rows[:, k % size] = row
+        if k == steps and k % size < size - 1:
+            # np.take copies a strided array whole at every gather.
+            rows = np.ascontiguousarray(rows[:, : k % size + 1])
+            runs = [Trajectory(c, partition, r) for c, r in zip(configs, rows)]
+        if k == steps or k % size == size - 1:
+            yield _Stack(runs, rows, k - k % size)
+
+
+def run_protocols(configs):
+    """Step several runs together, keeping every step of each in one
+    (P, steps + 1, N + 4) array; returns one Trajectory per config."""
+    (stack,) = _windows(configs, configs[0].steps + 1)
+    return stack
 
 
 def run_protocol(config):

@@ -37,13 +37,14 @@ def first_flagged(flags, values, first=0):
     """(location text, value) for the first flagged state of a stack.
 
     The text is empty for a single state and names the stack index
-    otherwise, its leading index counted from first, so a failing state
-    in a trajectory, or in a chunk of a larger stack, can be found.
+    otherwise, its leading indices counted from first (an int or a tuple),
+    so a failing state in a trajectory, or in part of a stack, can be found.
     """
     if flags.ndim == 0:
         return "", float(values)
     index = tuple(int(i) for i in np.argwhere(flags)[0])
-    where = (index[0] + first,) + index[1:]
+    first = first if isinstance(first, tuple) else (first,)
+    where = tuple(i + f for i, f in zip(index, first)) + index[len(first) :]
     return f" (stack index {where[0] if len(where) == 1 else where})", float(values[index])
 
 

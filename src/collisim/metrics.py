@@ -52,7 +52,8 @@ def concurrence(rho, first=0):
     eigh and one svd call for all of them (see _general_route). Every
     state must be finite and pass the PSD floor and the trace check; for
     a stack the error names the index of the first state that fails, its
-    leading index counted from first, as for a chunk of a larger stack.
+    leading indices counted from first, an int or a tuple, as for a chunk
+    of a larger stack or a window of its steps.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -206,13 +207,14 @@ def pair_concurrences(trajectories, pairs=None):
     """Concurrence of each tracked pair at every step, of one run or a stack.
 
     trajectories is one Trajectory, or the P trajectories of one
-    run_protocols call. Returns (pairs, table), table of shape
-    (steps + 1, len(pairs)) for one run and (P, steps + 1, len(pairs))
-    for a stack; row n belongs to the network state after the n-th
+    run_protocols call or sweep window. Returns (pairs, table), table of
+    shape (steps + 1, len(pairs)) for one run and (P, T, len(pairs)) for
+    a stack of T rows; row n belongs to the network state after the n-th
     collision. The reductions come from dynamics.pair_states in chunks of
     runs that hold at most about MAX_STACK_BYTES / 4 of pair states, one
     concurrence call each. A failing state is named by its (run, step,
-    pair) index in the stack, or its (step, pair) index for one run.
+    pair) index in the stack, its step counted from the window's first,
+    or its (step, pair) index for one run.
     """
     single = isinstance(trajectories, Trajectory)
     runs = [trajectories] if single else trajectories
@@ -223,9 +225,10 @@ def pair_concurrences(trajectories, pairs=None):
     lead = 0 if single else slice(None)
     # A run's pair states hold 16 entries of 16 B per pair and step.
     chunk = max(1, MAX_STACK_BYTES // 4 // (max(table[0].size, 1) * 16 * 16))
+    first = getattr(runs, "start", 0)
     for start in range(0, len(runs), chunk):
         part = slice(start, start + chunk)
-        table[part] = concurrence(pair_states(runs[part], pairs)[lead], start)
+        table[part] = concurrence(pair_states(runs[part], pairs)[lead], (start, first))
     return pairs, table[lead]
 
 

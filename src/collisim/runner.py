@@ -24,6 +24,7 @@ import numpy as np
 from .dynamics import (
     ProtocolConfig,
     ProtocolMode,
+    _windows,
     check_run_size,
     run_protocol,
     run_protocols,
@@ -238,7 +239,8 @@ def _parse_ket(value, key):
         check_pure_state(ket, f"config key {key}")
         return ket
     raise ValueError(
-        f'config key {key} must be "0", "1", "+", "+i", or an amplitude pair'
+        f'config key {key} must be one of the quoted strings "0", "1", "+", "+i", '
+        f"or an amplitude pair, got {value!r}"
     )
 
 
@@ -449,14 +451,14 @@ def sweep(base, param, values):
     The base is resolved once, with the swept key at 1.0 so that its own
     value does not count, and each point then varies only that key; a
     bad base fails every point with the error it gets alone. The valid
-    points are stepped, built and analyzed as stacks of at most
-    dynamics.MAX_STACK_BYTES of kept blocks, one stack at a time, with
-    one pair_concurrences call per stack. A row holds each pair's top
-    concurrence peak, read off the stack's tables in one pass without
-    characterizing it; rows keep the given order. A failing point is
-    recorded in its row and does not abort the others: a stack that
-    fails, stepping or tabulating, is rerun one point at a time through
-    the same path, so only the bad point fails.
+    points run as stacks of dynamics.runs_per_stack, one at a time, each
+    stepped once while one pair_concurrences call per window of steps
+    fills its tables. A row holds each pair's top concurrence peak, read
+    off the stack's tables in one pass without characterizing it; rows
+    keep the given order. A failing point is recorded in its row and does
+    not abort the others: a stack that fails, stepping or tabulating, is
+    rerun one point at a time through the same path, so only the bad
+    point fails.
     """
     if param not in ("omega", "dt"):
         raise ValueError(f"sweep parameter must be omega or dt, got {param!r}")
@@ -482,15 +484,19 @@ def sweep(base, param, values):
     # loop reaches in turn; a stack of one that fails records its row.
     for batch in stacks:
         try:
-            # The stack's trajectories are released once tabulated.
-            _, tables = pair_concurrences(run_protocols([point for _, point in batch]), pairs)
+            tables = np.empty((len(batch), protocol.steps + 1, len(pairs)))
+            for window in _windows([point for _, point in batch]):
+                end = window.start + len(window[0])
+                _, tables[:, window.start : end] = pair_concurrences(window, pairs)
+            n_top, c_top = top_peaks(tables.swapaxes(-1, -2), 0.0)
+            # Free the rows and tables before the next stack is built.
+            del tables, window
         except _FAILURE_KINDS as exc:
             if len(batch) == 1:
                 rows[batch[0][0]] = _failed_row(values[batch[0][0]], exc)
             else:
                 stacks += [[point] for point in batch]
             continue
-        n_top, c_top = top_peaks(tables.swapaxes(-1, -2), 0.0)
         labels = [pair_label(pair) for pair in pairs]
         for (k, _), ns, cs in zip(batch, n_top.tolist(), c_top.tolist()):
             top = {label: (n, c) if n >= 0 else None for label, n, c in zip(labels, ns, cs)}

@@ -77,21 +77,22 @@ def test_peaks_are_reduced_through_reduced_pair(monkeypatch):
 
 def test_sweep_tabulates_through_the_traced_entry_points(monkeypatch):
     # bench/spans.py times runner.pair_concurrences and metrics.concurrence,
-    # so sweep's tables show in both spans: 30 fig2_cm points run as stacks
-    # of 16 and 14, each tabulated by one pair_concurrences call that makes
-    # one concurrence call per chunk of three runs.
+    # so sweep's tables show in both spans: 60 fig2_cm points run as stacks
+    # of 43 and 17, streamed in windows of 5 and 15 steps, so their 81 rows
+    # take 17 and 6 windows. Each window is tabulated by one
+    # pair_concurrences call that makes one concurrence call.
     monkeypatch.setitem(sys.modules, "workloads", bench_module("workloads"))
     spans = bench_module("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:
-        rows = runner.sweep(preset("fig2_cm"), "omega", [4.0 + k / 4 for k in range(30)])
+        rows = runner.sweep(preset("fig2_cm"), "omega", [4.0 + k / 8 for k in range(60)])
     finally:
         tracer.uninstall()
     assert all(row.error is None for row in rows)
     name, parent = np.array(tracer.name), np.array(tracer.parent)
     tables = np.flatnonzero(name == tracer.names.index("metrics.pair_concurrences"))
     chunks = parent[name == tracer.names.index("metrics.concurrence")]
-    assert len(tables) == 2
-    assert [int((chunks == table).sum()) for table in tables] == [6, 5]
-    assert len(chunks) == 11
+    assert len(tables) == 23
+    assert [int((chunks == table).sum()) for table in tables] == [1] * 23
+    assert len(chunks) == 23

@@ -120,6 +120,21 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_unquoted_ket_fails_at_load(self, tmp_path, capsys):
+        # YAML reads an unquoted 1 as the integer 1, not the ket "1".
+        path = write_config(tmp_path, ancilla_init="1")
+        text = path.read_text(encoding="utf-8")
+        assert "ancilla_init: '1'\n" in text
+        path.write_text(text.replace("'1'", "1"), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "config key ancilla_init must be one of the quoted strings" in captured.err
+        assert captured.err.rstrip().endswith("got 1")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_run_over_the_storage_limit(self, tmp_path, capsys):
         chain12 = [[1 if abs(i - j) == 1 else 0 for j in range(12)] for i in range(12)]
         path = write_config(tmp_path, topology=chain12, target="A", steps=80, network_init=None)

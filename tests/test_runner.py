@@ -12,9 +12,9 @@ import yaml
 import collisim.dynamics as dynamics_module
 import collisim.metrics as metrics_module
 import collisim.runner as runner_module
-from collisim.dynamics import ProtocolMode
+from collisim.dynamics import ProtocolMode, run_protocol, run_protocols
 from collisim.linalg import NumericalError
-from collisim.metrics import find_peaks
+from collisim.metrics import find_peaks, pair_concurrences
 from collisim.network import CouplingKind, pair_label
 from collisim.runner import (
     DUAL_MODE_PRESETS,
@@ -197,6 +197,17 @@ class TestBuildProtocol:
     def test_rejects_bad_ket_name(self):
         with pytest.raises(ValueError, match="ancilla_init"):
             build_protocol(small_config(ancilla_init="-"))
+
+    def test_rejects_unquoted_ket(self):
+        # YAML reads an unquoted 1 or 0 as an integer; only a quoted string
+        # names a ket, and the message shows the value read.
+        for value in (1, 0):
+            message = (
+                'config key ancilla_init must be one of the quoted strings "0", "1", "\\+", '
+                f'"\\+i", or an amplitude pair, got {value}$'
+            )
+            with pytest.raises(ValueError, match=message):
+                build_protocol(small_config(ancilla_init=value))
 
     def test_rejects_bad_bitstring(self):
         with pytest.raises(ValueError, match="network_init"):
@@ -384,9 +395,11 @@ class TestSweep:
         assert rows[2].error is None and rows[2].top
 
     def test_points_are_stepped_in_stacks(self, monkeypatch):
-        # runs_per_stack counts a fig2_cm run by what it keeps: 81 states
-        # of 32 block entries and a 4-entry ancilla, 46656 bytes; so 16 runs
-        # fill the 768 KiB stack, and 30 points take stacks of 16 and 14.
+        # runs_per_stack counts a fig2_cm run by what it holds streamed: a
+        # 256-entry propagator and three times its 128 block entries, 10240
+        # bytes, beside a window of 256 run-steps of 36-entry rows and
+        # 48-entry pair states, 344064 bytes for any stack; so 43 runs fill
+        # the 768 KiB stack, and 60 points take stacks of 43 and 17.
         # Every row equals the point's own run exactly.
         sizes = []
         step = dynamics_module.collision_step
@@ -397,9 +410,9 @@ class TestSweep:
 
         monkeypatch.setattr(dynamics_module, "collision_step", counted)
         base = preset("fig2_cm")
-        values = [4.0 + k / 4 for k in range(30)]
+        values = [4.0 + k / 8 for k in range(60)]
         rows = sweep(base, "omega", values)
-        assert sizes == [16] * 80 + [14] * 80
+        assert sizes == [43] * 80 + [17] * 80
         for value, row in zip(values, rows):
             alone = run_experiment(dataclasses.replace(base, omega=value))
             for col, pair in enumerate(alone.pairs):
@@ -432,6 +445,98 @@ class TestSweep:
                 found = find_peaks(alone.table[:, col], 0.0)
                 want[pair_label(pair)] = found[0] if found else None
             assert row.top == want
+
+    @pytest.mark.parametrize(
+        "name, param, values",
+        [
+            # fig5 carries its ancilla, so its blocks are re-mixed every step.
+            ("fig5", "omega", [3.0 + k / 8 for k in range(51)]),
+            ("fig2_cm", "dt", [0.05 + 0.005 * k for k in range(51)]),
+            # An omega of 0 gives its stack a second nonzero pattern of H.
+            (
+                "fig2_cm",
+                "omega",
+                [4.0, -1.0, 0.0, float("nan")] + [4.25 + k / 4 for k in range(49)],
+            ),
+        ],
+    )
+    def test_streamed_stacks_equal_each_point_run_alone(self, monkeypatch, name, param, values):
+        # Stacks of 43 and 8 stream windows of 5 and 32 steps: 81 rows are
+        # no multiple of either, so a short window ends each stack. Every
+        # window's rows and tables equal those steps of the point's own run
+        # bit for bit.
+        windows = []
+        tabulate = runner_module.pair_concurrences
+
+        def spy(window, pairs):
+            found = tabulate(window, pairs)
+            configs = [trajectory.config for trajectory in window]
+            windows.append((configs, window.start, window.rows.copy(), found[1].copy()))
+            return found
+
+        monkeypatch.setattr(runner_module, "pair_concurrences", spy)
+        base = preset(name)
+        rows = sweep(base, param, values)
+        assert [len(configs) for configs, start, _, _ in windows if start == 0] == [43, 8]
+        assert {len(table[0]) for _, _, _, table in windows} == {5, 1, 32, 17}
+        alone = {}
+        for configs, start, states, tables in windows:
+            for config, run_rows, table in zip(configs, states, tables):
+                if id(config) not in alone:
+                    trajectory = run_protocol(config)
+                    alone[id(config)] = trajectory.rows, pair_concurrences(trajectory)[1]
+                steps = slice(start, start + len(table))
+                assert run_rows.tobytes() == alone[id(config)][0][steps].tobytes()
+                assert table.tobytes() == alone[id(config)][1][steps].tobytes()
+        monkeypatch.undo()
+        for value, row in zip(values, rows):
+            try:
+                alone = run_experiment(dataclasses.replace(base, **{param: value}))
+            except ValueError as exc:
+                assert (type(row.error), str(row.error), row.top) == (type(exc), str(exc), {})
+                continue
+            want = {}
+            for col, pair in enumerate(alone.pairs):
+                found = find_peaks(alone.table[:, col], 0.0)
+                want[pair_label(pair)] = found[0] if found else None
+            assert (row.error, row.top) == (None, want)
+
+    def test_a_late_failure_fails_only_its_row(self, monkeypatch):
+        # Over 300 steps, a stack of 20 points streams windows of 12 steps
+        # and a point alone windows of 256, so step 280 lies past the first
+        # window either way. A NaN put into one run's rows there fails its
+        # stack, which is rerun point by point: only that point fails, with
+        # the message of its whole trajectory, which names step 280, and
+        # every other row equals its own run.
+        base = dataclasses.replace(preset("fig2_cm"), steps=300)
+        values = [4.0 + k / 4 for k in range(20)]
+        bad = values[7]
+        pair_states = metrics_module.pair_states
+
+        def faulty(trajectories, pairs):
+            step = 280 - trajectories.start
+            for run, trajectory in enumerate(trajectories):
+                if trajectory.config.spec.omega == bad and 0 <= step < len(trajectory):
+                    trajectories.rows[run, step, 0] = np.nan
+            return pair_states(trajectories, pairs)
+
+        monkeypatch.setattr(metrics_module, "pair_states", faulty)
+        rows = sweep(base, "omega", values)
+        protocol, pairs, _ = build_protocol(dataclasses.replace(base, omega=bad))
+        with pytest.raises(NumericalError) as whole:
+            pair_concurrences(run_protocols([protocol]), pairs)
+        assert str(whole.value).endswith("non-finite entries (stack index (0, 280, 0))")
+        assert (type(rows[7].error), str(rows[7].error)) == (NumericalError, str(whole.value))
+        assert rows[7].top == {}
+        monkeypatch.undo()
+        for value, row in zip(values, rows):
+            if value != bad:
+                alone = run_experiment(dataclasses.replace(base, omega=value))
+                want = {}
+                for col, pair in enumerate(alone.pairs):
+                    found = find_peaks(alone.table[:, col], 0.0)
+                    want[pair_label(pair)] = found[0] if found else None
+                assert (row.error, row.top) == (None, want)
 
     def test_a_failing_stack_is_rerun_point_by_point(self, monkeypatch):
         # A fault that only a stack meets costs no row: each point, rerun
