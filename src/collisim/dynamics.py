@@ -109,13 +109,13 @@ def check_run_size(num_qubits, steps):
     """
     need = ((steps + 1) * 4**num_qubits + 4 ** (num_qubits + 1)) * 16
     if need > MAX_RUN_BYTES:
-        # A float overflows above about 527 qubits. decimal is imported only
-        # here: it adds about 2 ms to start-up (2-vCPU host), and no run that
-        # fits needs it.
+        # A float overflows above about 527 qubits or 1e308 steps. decimal is
+        # imported only here: it adds about 2 ms to start-up (2-vCPU host),
+        # and no run that fits needs it.
         from decimal import Decimal
 
         raise ValueError(
-            f"steps={steps} on {num_qubits} network qubits needs "
+            f"steps={Decimal(steps):.6g} on {num_qubits} network qubits needs "
             f"{Decimal(need) / 2**30:.3g} GiB of dense storage, above the "
             f"{MAX_RUN_BYTES / 2**30:g} GiB limit; use fewer steps or qubits"
         )
@@ -190,8 +190,8 @@ class Trajectory:
     after the n-th collision, at time n * dt. blocks (steps + 1, N) and
     ancilla (steps + 1, 2, 2) are views of rows. Indexing densifies only
     the network states it selects: traj[n] is the (d, d) state of row n.
-    pair_states reduces the rows of a stack of runs, or of a run alone as
-    a stack of one, onto pairs; metrics.pair_concurrences tabulates them.
+    pair_states reduces the rows of a stack of runs onto pairs, and
+    metrics.pair_concurrences tabulates a run or a stack with it.
     """
 
     config: ProtocolConfig
@@ -224,30 +224,22 @@ class Trajectory:
 
 class _Stack(list):
     """The Trajectories of a stack in order, and rows, their rows as one
-    (P, T, N + 4) array whose row 0 is after collision start; a slice is a _Stack."""
+    (P, T, N + 4) array whose row 0 is after collision start."""
 
     def __init__(self, runs, rows, start=0):
         super().__init__(runs)
         self.rows, self.start = rows, start
 
-    def __getitem__(self, index):
-        runs = super().__getitem__(index)
-        return _Stack(runs, self.rows[index], self.start) if isinstance(index, slice) else runs
 
-
-def pair_states(trajectories, pairs):
-    """Each pair's reduction at every step of a _Stack, or of a list of one
-    run, (P, T, len(pairs), 4, 4).
+def pair_states(stack, pairs):
+    """Each pair's reduction at every step of a _Stack, (P, T, len(pairs), 4, 4).
 
     One gather per discarded basis state over the whole stack's rows,
     never copied, added in partial_trace's order; the terms it skips,
     outside the sectors, are exact zeros, so the states equal
     partial_trace's bit for bit.
     """
-    first = trajectories[0]
-    rows = trajectories.rows if isinstance(trajectories, _Stack) else first.rows[None]
-    if len(rows) != len(trajectories):
-        raise ValueError("pair_states needs the runs of one stack")
+    first, rows = stack[0], stack.rows
     n = first.config.spec.topology.n
     entries, columns = _pair_gather(first.partition.charge, n, tuple(map(tuple, pairs)))
     kept = np.zeros(rows.shape[:2] + (len(entries),), dtype=complex)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MAX_STACK_BYTES, Trajectory, pair_states
+from .dynamics import Trajectory, _Stack, _window_steps, pair_states
 from .linalg import (
     ATOL_STATE,
     PSD_SLACK,
@@ -52,8 +52,8 @@ def concurrence(rho, first=0):
     eigh and one svd call for all of them (see _general_route). Every
     state must be finite and pass the PSD floor and the trace check; for
     a stack the error names the index of the first state that fails, its
-    leading indices counted from first, an int or a tuple, as for a chunk
-    of a larger stack or a window of its steps.
+    leading indices counted from first, an int or a tuple, as for a window
+    of a longer run's steps.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -206,29 +206,35 @@ def reduced_pair(network_state, pair, num_qubits):
 def pair_concurrences(trajectories, pairs=None):
     """Concurrence of each tracked pair at every step, of one run or a stack.
 
-    trajectories is one Trajectory, or the P trajectories of one
-    run_protocols call or sweep window. Returns (pairs, table), table of
-    shape (steps + 1, len(pairs)) for one run and (P, T, len(pairs)) for
-    a stack of T rows; row n belongs to the network state after the n-th
-    collision. The reductions come from dynamics.pair_states in chunks of
-    runs that hold at most about MAX_STACK_BYTES / 4 of pair states, one
-    concurrence call each. A failing state is named by its (run, step,
-    pair) index in the stack, its step counted from the window's first,
-    or its (step, pair) index for one run.
+    trajectories is one Trajectory, taken as a stack of one that views its
+    rows, or the _Stack of one run_protocols call or sweep window. Returns
+    (pairs, table), table of shape (steps + 1, len(pairs)) for one run and
+    (P, T, len(pairs)) for a stack of T rows; row n belongs to the network
+    state after the n-th collision. The stack is tabulated
+    dynamics._window_steps(P, n) steps at a time, within a quarter of
+    MAX_STACK_BYTES of pair states: one pair_states and one concurrence
+    call per window, each window a _Stack of its own as _windows yields
+    them. A failing state is named by its (run, step, pair) index, its
+    step counted from the run's first, or its (step, pair) index for one run.
     """
     single = isinstance(trajectories, Trajectory)
-    runs = [trajectories] if single else trajectories
+    stack = _Stack([trajectories], trajectories.rows[None]) if single else trajectories
+    n = stack[0].config.spec.topology.n
     if pairs is None:
-        pairs = all_pairs(runs[0].config.spec.topology.n)
-    table = np.empty((len(runs), len(runs[0]), len(pairs)))
-    # One run's states and table drop the run axis.
+        pairs = all_pairs(n)
+    table = np.empty(stack.rows.shape[:2] + (len(pairs),))
+    # One run's states, table and error indices drop the run axis.
     lead = 0 if single else slice(None)
-    # A run's pair states hold 16 entries of 16 B per pair and step.
-    chunk = max(1, MAX_STACK_BYTES // 4 // (max(table[0].size, 1) * 16 * 16))
-    first = getattr(runs, "start", 0)
-    for start in range(0, len(runs), chunk):
-        part = slice(start, start + chunk)
-        table[part] = concurrence(pair_states(runs[part], pairs)[lead], (start, first))
+    size = _window_steps(len(stack), n)
+    for start in range(0, table.shape[1], size):
+        # A stack that fits one window, as each of sweep's does, is its own.
+        window = stack
+        if size < table.shape[1]:
+            rows = stack.rows[:, start : start + size]
+            runs = [Trajectory(run.config, run.partition, r) for run, r in zip(stack, rows)]
+            window = _Stack(runs, rows, stack.start + start)
+        first = (0, window.start)[single:]
+        table[:, start : start + size] = concurrence(pair_states(window, pairs)[lead], first)
     return pairs, table[lead]
 
 

@@ -136,20 +136,14 @@ def build_system_hamiltonian(spec):
     return spec.omega0 * h
 
 
-def build_interaction_hamiltonian(spec):
-    """Ancilla-network coupling omega * pair_term(ancilla, target) on the register."""
-    return spec.omega * pair_term(
-        spec.ancilla_coupling, 0, spec.target + 1, spec.topology.n + 1
-    )
-
-
 def build_propagator(spec, dt):
     """One-step unitary U = exp(-i (H_system + H_interaction) dt).
 
     spec is one NetworkSpec and dt one step duration, for which U is
     (2d, 2d), or equal-length sequences of them with one network size,
     for which U is the (P, 2d, 2d) stack of each run's U. U acts on the
-    full register: ancilla in slot 0, network in slots 1..n. H is
+    full register: ancilla in slot 0, network in slots 1..n, and
+    H_interaction is omega * pair_term(ancilla, target) there. H is
     exponentiated over the blocks it couples, the connected components of
     its nonzero entries, so U is exactly 0 between them and so between
     the values of any charge H conserves. Each block is checked to be

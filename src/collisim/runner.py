@@ -114,7 +114,8 @@ def config_from_dict(doc):
 
 
 def _parse_number(value, key):
-    """A finite float; numeric strings are accepted, booleans are not."""
+    """A finite float, positive for dt and non-negative for omega and omega0;
+    numeric strings are accepted, booleans are not."""
     message = f"config key {key} must be a finite number, got {value!r}"
     if isinstance(value, bool):
         raise ValueError(message)
@@ -124,6 +125,10 @@ def _parse_number(value, key):
         raise ValueError(message) from None
     if not math.isfinite(number):
         raise ValueError(message)
+    if key == "dt" and number <= 0:
+        raise ValueError(f"config key dt must be positive, got {number!r}")
+    if key in ("omega", "omega0") and number < 0:
+        raise ValueError(f"config key {key} must be non-negative, got {number!r}")
     return number
 
 
@@ -144,16 +149,6 @@ def _parse_steps(value):
             f"config key steps must be at least {_MIN_STEPS} for peak finding, got {steps}"
         )
     return steps
-
-
-def config_to_dict(cfg):
-    """Plain-document form of a config; None-valued optionals are omitted."""
-    doc = {}
-    for name in _CONFIG_FIELDS:
-        value = getattr(cfg, name)
-        if value is not None:
-            doc[name] = value
-    return doc
 
 
 def load_config(path):
@@ -280,16 +275,9 @@ def _parse_pairs(value, n):
     return pairs
 
 
-def _check_strength(number, key):
-    if number < 0:
-        raise ValueError(f"config key {key} must be non-negative, got {number!r}")
-
-
 def build_protocol(cfg):
     """Resolve a declarative config into (ProtocolConfig, pairs, min_height)."""
     numbers = {key: _parse_number(getattr(cfg, key), key) for key in _NUMBER_KEYS}
-    for key in ("omega0", "omega"):
-        _check_strength(numbers[key], key)
     steps = _parse_steps(cfg.steps)
     # Bound the run before the O(n**2) topology checks and the 2**n network
     # ket below; ProtocolConfig checks it again.
@@ -509,7 +497,6 @@ def _vary(protocol, param, value):
     number = _parse_number(value, param)
     if param == "dt":
         return dataclasses.replace(protocol, dt=number)
-    _check_strength(number, param)
     return dataclasses.replace(protocol, spec=dataclasses.replace(protocol.spec, omega=number))
 
 

@@ -11,7 +11,12 @@ from a raw register matrix, as the tests that step by hand need.
 
 kron_pair_term builds pair_term's operators as np.kron chains, as it was
 done before pair_term used basis-index arithmetic; the tests compare the
-two for exact equality.
+two for exact equality. interaction_hamiltonian is the ancilla-network
+coupling as a product of embed_single operators, with SIGMA_PLUS and
+SIGMA_MINUS for Exchange; build_propagator's U is checked against it.
+
+config_document is the plain document of an ExperimentConfig, the form
+config_from_dict and YAML config files take.
 
 spin_flip and eigvals_general give concurrence's textbook eigenvalue
 route, which cross-checks the library's singular-value form.
@@ -40,6 +45,8 @@ register propagated without re-factorizing, as demo 06 runs it, read out
 as the network marginal after every step.
 """
 
+import dataclasses
+
 import numpy as np
 
 from collisim import dynamics
@@ -55,12 +62,11 @@ from collisim.dynamics import (
 )
 from collisim.linalg import (
     IDENTITY_2,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     NumericalError,
+    embed_single,
     expm_hermitian,
     num_qubits_of,
     partial_trace,
@@ -68,12 +74,37 @@ from collisim.linalg import (
 from collisim.metrics import reduced_pair
 from collisim.network import (
     CouplingKind,
-    build_interaction_hamiltonian,
     build_propagator,
     build_system_hamiltonian,
 )
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real
+
+# sigma_pm = (sigma_x +- i sigma_y)/2, so sigma_plus = |0><1|.
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+# Each coupling kind as a sum of (weight, ancilla operator, target operator) terms.
+_COUPLING_TERMS = {
+    CouplingKind.XX: [(1.0, SIGMA_X, SIGMA_X)],
+    CouplingKind.ZZ: [(1.0, SIGMA_Z, SIGMA_Z)],
+    CouplingKind.EXCHANGE: [(0.5, SIGMA_PLUS, SIGMA_MINUS), (0.5, SIGMA_MINUS, SIGMA_PLUS)],
+}
+
+
+def interaction_hamiltonian(spec):
+    """omega times the ancilla coupling between the ancilla, slot 0, and the
+    target, slot target + 1, on the register, from embed_single products."""
+    n, site = spec.topology.n + 1, spec.target + 1
+    return spec.omega * sum(
+        weight * (embed_single(a, 0, n) @ embed_single(b, site, n))
+        for weight, a, b in _COUPLING_TERMS[spec.ancilla_coupling]
+    )
+
+
+def config_document(cfg):
+    """Plain-document form of an ExperimentConfig; None-valued optionals are omitted."""
+    return {key: value for key, value in dataclasses.asdict(cfg).items() if value is not None}
 
 
 def spin_flip(rho):
@@ -156,7 +187,7 @@ def charge_block_propagator(spec, dt):
     d = 2**n
     h = np.zeros((2 * d, 2 * d), dtype=complex)
     h[:d, :d] = h[d:, d:] = build_system_hamiltonian(spec)
-    h += build_interaction_hamiltonian(spec)
+    h += interaction_hamiltonian(spec)
     rows, cols = np.nonzero(h)
     labels = [_register_charge(charge, n) for charge in _CHARGES]
     kept = [q for q in labels if (q[rows] == q[cols]).all()]

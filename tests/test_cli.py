@@ -9,15 +9,16 @@ import yaml
 
 from collisim.dynamics import _CHARGES
 from collisim.linalg import NumericalError
-from collisim.runner import PRESETS, config_to_dict, main, preset
+from collisim.runner import PRESETS, main, preset
 import collisim.dynamics as dynamics_module
 import collisim.runner as runner_module
+from reference import config_document
 from test_bench import bench_module
 
 
 def write_config(tmp_path, **overrides):
     cfg = preset("fig5")
-    doc = config_to_dict(cfg)
+    doc = config_document(cfg)
     doc["steps"] = 8
     doc.update(overrides)
     path = tmp_path / "run.yaml"
@@ -84,6 +85,8 @@ class TestExitCodes:
             ("target", 3, "3 is outside the 3-qubit network"),
             ("omega", -1, "must be non-negative, got -1.0"),
             ("omega0", -0.5, "must be non-negative, got -0.5"),
+            ("dt", -0.1, "must be positive, got -0.1"),
+            ("dt", 0, "must be positive, got 0.0"),
             ("mode", ["repeated"], "must be one of collision, repeated, got ['repeated']"),
         ],
         ids=[
@@ -92,7 +95,7 @@ class TestExitCodes:
             "topology-1.5", "topology-true", "topology-letters", "topology-ragged",
             "ancilla_init-true", "ancilla_init-string", "ancilla_init-nan",
             "ancilla_init-unnormalized", "ancilla_init-overflow", "target-letter", "target-index",
-            "omega-negative", "omega0-negative", "mode-list",
+            "omega-negative", "omega0-negative", "dt-negative", "dt-zero", "mode-list",
         ],
     )
     def test_bad_values_fail_at_load(self, tmp_path, capsys, key, value, message):
@@ -142,6 +145,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "steps=80 on 12 network qubits" in captured.err
         assert "GiB" in captured.err
+        assert captured.out == ""
+
+    def test_a_huge_step_count_is_shown_short(self, tmp_path, capsys):
+        # YAML reads 1.0e+300 as a float that int() turns into 301 digits;
+        # the message gives the count to 6 digits.
+        path = write_config(tmp_path, steps=1.0e300)
+        assert "steps: 1.0e+300\n" in path.read_text(encoding="utf-8")
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: steps=1.00000e+300 on 3 network qubits needs ")
+        assert len(captured.err) < 160
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -265,7 +279,14 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "dt=0.4:" in out
-        assert "dt=-1: error:" in out
+        assert "dt=-1: error: config key dt must be positive, got -1.0\n" in out
+
+    def test_a_pair_without_a_peak_reads_no_peak(self, capsys):
+        # fig3a's C_AC is exactly 0 at every one of its 141 rows, so it has no peak.
+        assert main(["sweep", "fig3a", "--param", "omega", "--values", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("omega=5: C_AB: ")
+        assert "  C_AC: no peak  C_BC: " in out
 
     def test_exit_code_follows_the_first_failing_row(self, monkeypatch, capsys):
         # The fault hits the omega=7 point inside the stack sweep steps, so

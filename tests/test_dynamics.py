@@ -16,6 +16,7 @@ import collisim.network as network_module
 from collisim.dynamics import (
     _CHARGES,
     _register_charge,
+    _Stack,
     MAX_RUN_BYTES,
     check_run_size,
     ProtocolConfig,
@@ -1030,7 +1031,7 @@ class TestBlockTrajectory:
         assert_same_bits(traj[-1], network[0, -1])
         pairs = all_pairs(protocol.spec.topology.n)
         reduced = dense_pair_states(network[0], pairs, protocol.spec.topology.n)
-        assert_same_bits(pair_states([traj], pairs)[0], reduced)
+        assert_same_bits(pair_states(_Stack([traj], traj.rows[None]), pairs)[0], reduced)
         assert_same_bits(pair_concurrences(traj)[1], concurrence(reduced))
 
     @settings(max_examples=40, deadline=None)
@@ -1079,7 +1080,7 @@ class TestBlockTrajectory:
             assert_same_bits(traj.network, network[p])
             assert_same_bits(traj.ancilla, ancilla[p])
             reduced = dense_pair_states(network[p], pairs, n)
-            assert_same_bits(pair_states([traj], pairs)[0], reduced)
+            assert_same_bits(pair_states(_Stack([traj], traj.rows[None]), pairs)[0], reduced)
             assert_same_bits(pair_concurrences(traj, pairs)[1], concurrence(reduced))
             assert_same_bits(tables[p], concurrence(reduced))
 

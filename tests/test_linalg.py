@@ -12,7 +12,6 @@ from collisim.linalg import (
     ATOL_STATE,
     ATOL_UNITARY,
     IDENTITY_2,
-    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -24,7 +23,7 @@ from collisim.linalg import (
     num_qubits_of,
     partial_trace,
 )
-from reference import eigvals_general
+from reference import SIGMA_PLUS, eigvals_general
 
 
 def random_complex(rng, shape):

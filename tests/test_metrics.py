@@ -1,6 +1,7 @@
 """Concurrence, fidelity, Bell catalog, and peak detection."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from collisim import dynamics
 from collisim.dynamics import (
     _CHARGES,
     _register_charge,
+    _Stack,
     ProtocolConfig,
     ProtocolMode,
     Trajectory,
@@ -359,6 +361,14 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(np.eye(2) / 2.0, PHI_PLUS)
 
+    def test_rejects_imaginary_residue(self):
+        # A non-Hermitian matrix has complex overlaps: |00><11| gives i/2,
+        # to roundoff, with the PhiTilde+ target (|00> + i|11>)/sqrt(2).
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 3] = 1.0
+        with pytest.raises(NumericalError, match=r"imaginary residue 0\.(5|4999)"):
+            fidelity(rho, bell_catalog()[0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_state(self, bad):
         rho = density_from_pure(PHI_PLUS)
@@ -512,7 +522,7 @@ class TestPairConcurrences:
         # Parity (fig2_cm) and excitation-number (exchange chain) runs give
         # X-shaped reductions only, which take the closed form; fig6 keeps
         # no charge and still reaches the eigh route. So do stacks: a
-        # 16-run fig2_cm omega stack, tabulated in six chunks of three runs,
+        # 16-run fig2_cm omega stack, tabulated in six windows of 16 steps,
         # and fig6 in both modes. A stack's tables equal each run's own bit
         # for bit.
         chain = config_from_dict(
@@ -556,14 +566,35 @@ class TestPairConcurrences:
                 pair_concurrences(runs)
 
     def test_a_failing_state_is_named_by_its_index_in_the_stack(self):
-        # Run 5 of 8 is in the second chunk of three runs, but the error
-        # counts from the stack's first run; a run alone names (step, pair).
+        # An 8-run stack is tabulated in windows of 32 steps, so step 40 of
+        # run 5 is in the second, but the error counts from the stack's
+        # first step; a run alone names (step, pair). A 300-step run alone
+        # takes windows of 256 steps, and step 280 is in its second.
         runs = omega_stack(8)
-        runs[5].rows[3, 0] = np.nan
-        for where, given_runs in (("(5, 3, 0)", runs), ("(3, 0)", runs[5])):
+        runs[5].rows[40, 0] = np.nan
+        for where, given_runs in (("(5, 40, 0)", runs), ("(40, 0)", runs[5])):
             with pytest.raises(NumericalError) as error:
                 pair_concurrences(given_runs)
             assert str(error.value).endswith(f"non-finite entries (stack index {where})")
+        protocol = build_protocol(dataclasses.replace(preset("fig2_cm"), steps=300))[0]
+        run = run_protocol(protocol)
+        run.rows[280, 0] = np.nan
+        with pytest.raises(NumericalError, match=r"entries \(stack index \(280, 0\)\)$"):
+            pair_concurrences(run)
+
+    def test_a_long_run_is_tabulated_within_the_window_budget(self):
+        # The pair states of a 5000-step fig2 run alone take 3.7 MiB; a
+        # window of 256 steps of them takes 0.2 MiB, and the 0.1 MiB table
+        # is the rest of the peak.
+        traj = run_protocol(build_protocol(dataclasses.replace(preset("fig2"), steps=5000))[0])
+        tracemalloc.start()
+        try:
+            _, table = pair_concurrences(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (5001, 3)
+        assert peak <= 2**20
 
     def test_rejects_bad_pairs(self):
         traj = self.make_trajectory(steps=3)
@@ -628,7 +659,7 @@ class TestBlockReductions:
             assert not traj.network[:, labels[:, None] != labels].any()
             pairs = all_pairs(n)
             reduced = dense_pair_states(traj.network, pairs, n)
-            assert_same_bits(pair_states([traj], pairs)[0], reduced)
+            assert_same_bits(pair_states(_Stack([traj], traj.rows[None]), pairs)[0], reduced)
             # The entries kept have a term in the sectors at every t.
             entries, columns = dynamics._pair_gather(charge, n, tuple(pairs))
             assert (columns >= 0).all() and len(entries) == columns.shape[1]
@@ -650,7 +681,7 @@ class TestBlockReductions:
         )
         pairs = data.draw(st.lists(st.sampled_from(all_pairs(n)), unique=True))
         reduced = dense_pair_states(traj.network, pairs, n)
-        assert_same_bits(pair_states([traj], pairs)[0], reduced)
+        assert_same_bits(pair_states(_Stack([traj], traj.rows[None]), pairs)[0], reduced)
         assert_same_bits(pair_concurrences(traj, pairs)[1], concurrence(reduced))
 
 

@@ -22,7 +22,6 @@ from collisim.network import (
     CouplingKind,
     NetworkSpec,
     Topology,
-    build_interaction_hamiltonian,
     build_propagator,
     build_system_hamiltonian,
     pair_label,
@@ -31,7 +30,13 @@ from collisim.network import (
     qubit_label,
 )
 from collisim.runner import PRESETS, ExperimentConfig, build_protocol, preset
-from reference import charge_block_propagator, kron_pair_term
+from reference import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    charge_block_propagator,
+    interaction_hamiltonian,
+    kron_pair_term,
+)
 
 
 def ket(bits):
@@ -188,26 +193,42 @@ class TestSystemHamiltonian:
         assert not np.any(build_system_hamiltonian(spec))
 
 
+def assert_propagates(spec, interaction, dt=0.4):
+    """build_propagator's U is exp(-i H dt) for H = I x H_system + interaction."""
+    h = np.kron(IDENTITY_2, build_system_hamiltonian(spec)) + interaction
+    assert np.max(np.abs(build_propagator(spec, dt) - expm_hermitian(h, -1j * dt))) < 1e-12
+
+
 class TestInteractionHamiltonian:
+    """The ancilla couples to its target, ancilla in slot 0 and network qubit k in slot k + 1."""
+
     def test_zz_on_target_b(self):
         spec = chain_spec(ancilla_coupling=CouplingKind.ZZ, omega=5.0, target=1)
-        h = build_interaction_hamiltonian(spec)
         expected = 5.0 * (
             embed_single(SIGMA_Z, 0, 4) @ embed_single(SIGMA_Z, 2, 4)
         )
-        assert np.max(np.abs(h - expected)) < 1e-12
+        assert np.max(np.abs(interaction_hamiltonian(spec) - expected)) < 1e-12
+        assert_propagates(spec, expected)
 
     def test_xx_on_target_a(self):
         spec = chain_spec(omega=3.0, target=0)
-        h = build_interaction_hamiltonian(spec)
         expected = 3.0 * (
             embed_single(SIGMA_X, 0, 4) @ embed_single(SIGMA_X, 1, 4)
         )
-        assert np.max(np.abs(h - expected)) < 1e-12
+        assert np.max(np.abs(interaction_hamiltonian(spec) - expected)) < 1e-12
+        assert_propagates(spec, expected)
+
+    def test_exchange_on_target_c(self):
+        spec = chain_spec(ancilla_coupling=CouplingKind.EXCHANGE, omega=2.0, target=2)
+        up = embed_single(SIGMA_PLUS, 0, 4) @ embed_single(SIGMA_MINUS, 3, 4)
+        expected = 2.0 * 0.5 * (up + up.conj().T)
+        assert np.max(np.abs(interaction_hamiltonian(spec) - expected)) < 1e-12
+        assert_propagates(spec, expected)
 
     def test_zero_strength_decouples(self):
         spec = chain_spec(omega=0.0)
-        assert not np.any(build_interaction_hamiltonian(spec))
+        assert not np.any(interaction_hamiltonian(spec))
+        assert_propagates(spec, 0.0)
 
 
 class TestRelabelSymmetry:
@@ -242,7 +263,7 @@ class TestRelabelSymmetry:
         swap = bit_permutation_matrix([0, 3, 2, 1], 4)
         h_a, h_c = (
             np.kron(IDENTITY_2, build_system_hamiltonian(spec))
-            + build_interaction_hamiltonian(spec)
+            + interaction_hamiltonian(spec)
             for spec in (chain_spec(target=0), chain_spec(target=2))
         )
         assert np.max(np.abs(swap @ h_a @ swap.conj().T - h_c)) < 1e-12
@@ -270,7 +291,7 @@ class TestPropagator:
         spec = chain_spec()
         dt = 1e-6
         h = np.kron(IDENTITY_2, build_system_hamiltonian(spec))
-        h += build_interaction_hamiltonian(spec)
+        h += interaction_hamiltonian(spec)
         u = build_propagator(spec, dt)
         first_order = np.eye(16) - 1j * dt * h
         hnorm = np.linalg.norm(h, ord=2)
@@ -282,7 +303,7 @@ class TestPropagator:
         spec = chain_spec(omega0=0.0, ancilla_coupling=CouplingKind.ZZ, omega=2.0)
         dt = 0.3
         u = build_propagator(spec, dt)
-        h = build_interaction_hamiltonian(spec)
+        h = interaction_hamiltonian(spec)
         expected = np.diag(np.exp(-1j * dt * np.diag(h)))
         assert np.max(np.abs(u - expected)) < 1e-10
 
@@ -380,7 +401,7 @@ class TestPropagatorBlocks:
             topology, system, omega0, ancilla, omega, data.draw(st.integers(0, topology.n - 1))
         )
         h = np.kron(IDENTITY_2, build_system_hamiltonian(spec))
-        h += build_interaction_hamiltonian(spec)
+        h += interaction_hamiltonian(spec)
         u = build_propagator(spec, dt)
         assert not u[~components(h)].any()
         assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= ATOL_UNITARY

@@ -22,7 +22,6 @@ from collisim.runner import (
     ExperimentConfig,
     build_protocol,
     config_from_dict,
-    config_to_dict,
     emit_csv,
     emit_report,
     load_config,
@@ -31,6 +30,7 @@ from collisim.runner import (
     run_experiment,
     sweep,
 )
+from reference import config_document
 
 
 def small_config(**overrides):
@@ -53,16 +53,16 @@ class TestConfigParsing:
     def test_round_trip_through_dict(self):
         for name in PRESETS:
             cfg = preset(name)
-            assert config_from_dict(config_to_dict(cfg)) == cfg
+            assert config_from_dict(config_document(cfg)) == cfg
 
     def test_round_trip_through_yaml_file(self, tmp_path):
         cfg = small_config(tracked_pairs=["BC"], peak_min_height=0.5)
         path = tmp_path / "run.yaml"
-        path.write_text(yaml.safe_dump(config_to_dict(cfg)), encoding="utf-8")
+        path.write_text(yaml.safe_dump(config_document(cfg)), encoding="utf-8")
         assert load_config(path) == cfg
 
     def test_numeric_strings_are_coerced(self):
-        doc = config_to_dict(small_config())
+        doc = config_document(small_config())
         doc["omega"] = "5"
         doc["steps"] = "6"
         cfg = config_from_dict(doc)
@@ -70,13 +70,13 @@ class TestConfigParsing:
         assert cfg.steps == 6
 
     def test_unknown_key(self):
-        doc = config_to_dict(small_config())
+        doc = config_document(small_config())
         doc["coupling"] = "XX"
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict(doc)
 
     def test_missing_key(self):
-        doc = config_to_dict(small_config())
+        doc = config_document(small_config())
         del doc["omega"]
         with pytest.raises(ValueError, match="missing config keys"):
             config_from_dict(doc)
@@ -86,7 +86,7 @@ class TestConfigParsing:
             config_from_dict(["omega", 5])
 
     def test_non_numeric_value(self):
-        doc = config_to_dict(small_config())
+        doc = config_document(small_config())
         doc["dt"] = "soon"
         with pytest.raises(ValueError, match="dt"):
             config_from_dict(doc)
@@ -103,14 +103,14 @@ class TestConfigParsing:
 
     def test_rejects_single_step(self):
         # One step leaves two records, too few for peak finding.
-        doc = config_to_dict(small_config(steps=1))
+        doc = config_document(small_config(steps=1))
         with pytest.raises(ValueError, match="steps must be at least 2"):
             config_from_dict(doc)
-        assert config_from_dict(config_to_dict(small_config(steps=2))).steps == 2
+        assert config_from_dict(config_document(small_config(steps=2))).steps == 2
 
     @pytest.mark.parametrize("value", [True, False, 2.5, "2.5", None, [6]])
     def test_rejects_non_integer_steps(self, value):
-        doc = config_to_dict(small_config())
+        doc = config_document(small_config())
         doc["steps"] = value
         with pytest.raises(ValueError, match="config key steps must be an integer"):
             config_from_dict(doc)
@@ -118,20 +118,20 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key", ["csv_path", "report_path"])
     @pytest.mark.parametrize("value", [True, 1, 2.0, ["out.csv"]])
     def test_rejects_non_string_output_paths(self, key, value):
-        doc = config_to_dict(small_config())
+        doc = config_document(small_config())
         doc[key] = value
         with pytest.raises(ValueError, match=f"config key {key} must be a file path"):
             config_from_dict(doc)
 
     def test_integral_float_steps_are_accepted(self):
-        doc = config_to_dict(small_config())
+        doc = config_document(small_config())
         doc["steps"] = 6.0
         assert config_from_dict(doc).steps == 6
 
     @pytest.mark.parametrize("key", ["omega", "omega0", "dt", "peak_min_height"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "nan", True])
     def test_rejects_non_finite_numbers(self, key, value):
-        doc = config_to_dict(small_config())
+        doc = config_document(small_config())
         doc[key] = value
         with pytest.raises(ValueError, match=f"config key {key} must be a finite number"):
             config_from_dict(doc)
@@ -285,7 +285,7 @@ class TestBuildProtocol:
         # 6000 rows that are one aliased list: checking every entry would
         # take O(n**2) work, but the row count alone is over the limit.
         row = "[" + ", ".join(["0"] * 6000) + "]"
-        doc = config_to_dict(small_config(steps=8))
+        doc = config_document(small_config(steps=8))
         doc["topology"] = yaml.safe_load("[&r " + row + ", " + ", ".join(["*r"] * 5999) + "]")
         tracemalloc.start()
         try:

@@ -47,13 +47,13 @@ PUBLIC_NAMES = [
 
 # Names the package namespace no longer carries; each stays in its module.
 SUBMODULE_NAMES = {
-    "linalg": "ATOL_STATE ATOL_UNITARY IDENTITY_2 PSD_SLACK SIGMA_MINUS SIGMA_PLUS "
-    "SIGMA_Y check_density_matrix check_pure_state expm_hermitian",
-    "network": "build_interaction_hamiltonian pair_term qubit_label",
+    "linalg": "ATOL_STATE ATOL_UNITARY IDENTITY_2 PSD_SLACK SIGMA_Y check_density_matrix "
+    "check_pure_state expm_hermitian",
+    "network": "pair_term qubit_label",
     "dynamics": "MAX_STEP_CORRECTION collision_step",
     "metrics": "BellTarget PeakReport all_pairs characterize_peak find_peaks",
     "runner": "DUAL_MODE_PRESETS PRESETS ExperimentResult config_from_dict "
-    "config_to_dict emit_csv emit_report main",
+    "emit_csv emit_report main",
 }
 
 
